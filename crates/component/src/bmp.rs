@@ -19,8 +19,6 @@
 //! the worst latency sensitivity (23.6) of all ES/RDB configurations in
 //! Table 2.
 
-use std::collections::BTreeMap;
-
 use sli_datastore::{DbError, Predicate, Value};
 
 use crate::context::TxContext;
@@ -35,11 +33,6 @@ use crate::{EjbResult, SharedConnection};
 pub struct BmpHome {
     meta: EntityMeta,
     conn: SharedConnection,
-    exists_sql: String,
-    load_sql: String,
-    insert_sql: String,
-    update_sql: String,
-    delete_sql: String,
 }
 
 impl std::fmt::Debug for BmpHome {
@@ -52,23 +45,9 @@ impl std::fmt::Debug for BmpHome {
 }
 
 impl BmpHome {
-    /// Builds the home (and its prepared statement texts) for `meta` over
-    /// `conn`.
+    /// Builds the home for `meta` over `conn`.
     pub fn new(meta: EntityMeta, conn: SharedConnection) -> BmpHome {
-        let exists_sql = meta.exists_sql();
-        let load_sql = meta.load_sql();
-        let insert_sql = meta.insert_sql();
-        let update_sql = meta.update_sql();
-        let delete_sql = meta.delete_sql();
-        BmpHome {
-            meta,
-            conn,
-            exists_sql,
-            load_sql,
-            insert_sql,
-            update_sql,
-            delete_sql,
-        }
+        BmpHome { meta, conn }
     }
 
     /// SQL text for a named finder (primary keys only — BMP finders return
@@ -84,10 +63,10 @@ impl BmpHome {
 
     /// `ejbLoad`: fetches the full row and installs it in the context.
     fn ensure_loaded(&self, ctx: &mut TxContext, key: &Value) -> EjbResult<()> {
-        let bean = self.meta.bean().to_owned();
-        if let Some(inst) = ctx.instance(&bean, key) {
+        let bean = self.meta.bean();
+        if let Some(inst) = ctx.instance(bean, key) {
             if inst.removed {
-                return Err(EjbError::not_found(&bean, key));
+                return Err(EjbError::not_found(bean, key));
             }
             if inst.loaded {
                 return Ok(());
@@ -96,12 +75,12 @@ impl BmpHome {
         let rs = self
             .conn
             .lock()
-            .execute(&self.load_sql, std::slice::from_ref(key))?;
+            .execute(self.meta.load_sql(), std::slice::from_ref(key))?;
         if rs.is_empty() {
-            return Err(EjbError::not_found(&bean, key));
+            return Err(EjbError::not_found(bean, key));
         }
         let image = self.meta.memento_from_row(&rs.rows()[0]);
-        ctx.enlist(&bean, key).load_from(&image);
+        ctx.enlist(bean, key).load_from(&image);
         Ok(())
     }
 }
@@ -118,15 +97,8 @@ impl Home for BmpHome {
             self.meta.check_field(field)?;
         }
         // ejbCreate inserts immediately.
-        let mut params = Vec::with_capacity(self.meta.fields().len() + 1);
-        params.push(key.clone());
-        let mut fields = BTreeMap::new();
-        for f in self.meta.fields() {
-            let v = state.get(&f.name).cloned().unwrap_or(Value::Null);
-            fields.insert(f.name.clone(), v.clone());
-            params.push(v);
-        }
-        match self.conn.lock().execute(&self.insert_sql, &params) {
+        let params = self.meta.insert_params(&state);
+        match self.conn.lock().execute(self.meta.insert_sql(), &params) {
             Ok(_) => {}
             Err(DbError::DuplicateKey(_)) => {
                 return Err(EjbError::DuplicateKey {
@@ -137,7 +109,9 @@ impl Home for BmpHome {
             Err(e) => return Err(e.into()),
         }
         let inst = ctx.enlist(&bean, &key);
-        inst.fields = fields;
+        // The insert parameters are laid out as a full row: key, then
+        // every declared field.
+        inst.image = Some(self.meta.memento_from_row(&params));
         inst.loaded = true;
         inst.exists = true;
         inst.created = true;
@@ -152,7 +126,7 @@ impl Home for BmpHome {
         let rs = self
             .conn
             .lock()
-            .execute(&self.exists_sql, std::slice::from_ref(key))?;
+            .execute(self.meta.exists_sql(), std::slice::from_ref(key))?;
         if rs.is_empty() {
             return Err(EjbError::not_found(&bean, key));
         }
@@ -179,7 +153,7 @@ impl Home for BmpHome {
         let rs = self
             .conn
             .lock()
-            .execute(&self.delete_sql, std::slice::from_ref(key))?;
+            .execute(self.meta.delete_sql(), std::slice::from_ref(key))?;
         if rs.affected_rows() == 0 {
             return Err(EjbError::not_found(&bean, key));
         }
@@ -198,7 +172,7 @@ impl Home for BmpHome {
         let inst = ctx
             .instance(self.meta.bean(), key)
             .expect("ensure_loaded enlists");
-        Ok(inst.fields.get(field).cloned().unwrap_or(Value::Null))
+        Ok(inst.get(field).cloned().unwrap_or(Value::Null))
     }
 
     fn set_field(
@@ -216,10 +190,9 @@ impl Home for BmpHome {
             });
         }
         self.ensure_loaded(ctx, key)?;
-        let inst = ctx
-            .instance_mut(self.meta.bean(), key)
-            .expect("ensure_loaded enlists");
-        inst.fields.insert(field.to_owned(), value);
+        let bean = self.meta.bean();
+        let inst = ctx.instance_mut(bean, key).expect("ensure_loaded enlists");
+        inst.set(bean, key, field, value);
         inst.dirty = true;
         Ok(())
     }
@@ -236,14 +209,8 @@ impl Home for BmpHome {
             let inst = ctx
                 .instance(&bean, &key)
                 .expect("key collected from iteration");
-            let mut params: Vec<Value> = self
-                .meta
-                .fields()
-                .iter()
-                .map(|f| inst.fields.get(&f.name).cloned().unwrap_or(Value::Null))
-                .collect();
-            params.push(key.clone());
-            self.conn.lock().execute(&self.update_sql, &params)?;
+            let params = self.meta.update_params(&inst.to_memento(&bean, &key));
+            self.conn.lock().execute(self.meta.update_sql(), &params)?;
             ctx.instance_mut(&bean, &key).expect("still enlisted").dirty = false;
         }
         Ok(())

@@ -8,18 +8,18 @@
 //! uses it as the usual entity-instance cache, and the SLI runtime reads it
 //! at commit time to build the optimistic commit request.
 
-use std::collections::{BTreeMap, HashMap};
-
 use sli_datastore::Value;
 
+use crate::bean_map::BeanMap;
 use crate::memento::Memento;
 
 /// In-transaction state of one enlisted bean.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InstanceState {
-    /// Current (possibly modified) non-key fields.
-    pub fields: BTreeMap<String, Value>,
-    /// Whether `fields` has been populated from the store.
+    /// Current (possibly modified) state, once loaded or created. It shares
+    /// the loaded image until the first write copies it.
+    pub image: Option<Memento>,
+    /// Whether `image` has been populated from the store.
     pub loaded: bool,
     /// Whether the state diverged from the loaded image.
     pub dirty: bool,
@@ -37,18 +37,30 @@ pub struct InstanceState {
 
 impl InstanceState {
     /// Snapshot of the current state as a memento (the after-image when
-    /// taken at commit).
+    /// taken at commit). Shares the current image; an instance never
+    /// loaded or created yields an empty memento for (`bean`, `key`).
     pub fn to_memento(&self, bean: &str, key: &Value) -> Memento {
-        let mut m = Memento::new(bean, key.clone());
-        for (name, value) in &self.fields {
-            m.set(name.clone(), value.clone());
-        }
-        m
+        self.image
+            .clone()
+            .unwrap_or_else(|| Memento::new(bean, key.clone()))
+    }
+
+    /// Reads a field of the current state.
+    pub fn get(&self, field: &str) -> Option<&Value> {
+        self.image.as_ref()?.get(field)
+    }
+
+    /// Writes a field of the current state (starting from an empty
+    /// memento for (`bean`, `key`) if nothing was loaded).
+    pub fn set(&mut self, bean: &str, key: &Value, field: &str, value: Value) {
+        self.image
+            .get_or_insert_with(|| Memento::new(bean, key.clone()))
+            .set(field, value);
     }
 
     /// Loads `image` as this instance's observed state and before-image.
     pub fn load_from(&mut self, image: &Memento) {
-        self.fields = image.fields().clone();
+        self.image = Some(image.clone());
         self.loaded = true;
         self.exists = true;
         self.dirty = false;
@@ -61,9 +73,11 @@ impl InstanceState {
 /// The per-transaction transient store.
 #[derive(Debug, Default)]
 pub struct TxContext {
-    instances: HashMap<(String, Value), InstanceState>,
-    /// Monotonic touch order, for deterministic commit processing.
-    order: Vec<(String, Value)>,
+    /// Enlisted instances in first-touch order, for deterministic commit
+    /// processing.
+    entries: Vec<(String, Value, InstanceState)>,
+    /// Position of each enlisted instance in `entries`.
+    index: BeanMap<usize>,
 }
 
 impl TxContext {
@@ -74,46 +88,52 @@ impl TxContext {
 
     /// Read-only view of an enlisted instance.
     pub fn instance(&self, bean: &str, key: &Value) -> Option<&InstanceState> {
-        self.instances.get(&(bean.to_owned(), key.clone()))
+        let &i = self.index.get(bean, key)?;
+        Some(&self.entries[i].2)
     }
 
     /// Mutable view of an enlisted instance.
     pub fn instance_mut(&mut self, bean: &str, key: &Value) -> Option<&mut InstanceState> {
-        self.instances.get_mut(&(bean.to_owned(), key.clone()))
+        let &i = self.index.get(bean, key)?;
+        Some(&mut self.entries[i].2)
     }
 
     /// Fetches or creates the instance entry for (`bean`, `key`).
     pub fn enlist(&mut self, bean: &str, key: &Value) -> &mut InstanceState {
-        let entry_key = (bean.to_owned(), key.clone());
-        if !self.instances.contains_key(&entry_key) {
-            self.order.push(entry_key.clone());
-            self.instances
-                .insert(entry_key.clone(), InstanceState::default());
-        }
-        self.instances.get_mut(&entry_key).expect("just inserted")
+        let i = match self.index.get(bean, key) {
+            Some(&i) => i,
+            None => {
+                let i = self.entries.len();
+                self.index.insert(bean, key.clone(), i);
+                self.entries
+                    .push((bean.to_owned(), key.clone(), InstanceState::default()));
+                i
+            }
+        };
+        &mut self.entries[i].2
     }
 
     /// Iterates enlisted instances in first-touch order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value, &InstanceState)> {
-        self.order
+        self.entries
             .iter()
-            .filter_map(|k| self.instances.get(k).map(|st| (k.0.as_str(), &k.1, st)))
+            .map(|(bean, key, st)| (bean.as_str(), key, st))
     }
 
     /// Number of enlisted instances.
     pub fn len(&self) -> usize {
-        self.instances.len()
+        self.entries.len()
     }
 
     /// Whether no bean has been touched yet.
     pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
+        self.entries.is_empty()
     }
 
     /// Drops all enlisted state (transaction end).
     pub fn clear(&mut self) {
-        self.instances.clear();
-        self.order.clear();
+        self.entries.clear();
+        self.index.clear();
     }
 }
 
@@ -145,13 +165,13 @@ mod tests {
         let img2 = Memento::new("Account", Value::from("a")).with_field("balance", 20.0);
         st.load_from(&img2);
         assert_eq!(st.before.as_ref(), Some(&img1));
-        assert_eq!(st.fields.get("balance"), Some(&Value::from(20.0)));
+        assert_eq!(st.get("balance"), Some(&Value::from(20.0)));
     }
 
     #[test]
     fn to_memento_captures_current_fields() {
         let mut st = InstanceState::default();
-        st.fields.insert("balance".into(), Value::from(42.0));
+        st.set("Account", &Value::from("a"), "balance", Value::from(42.0));
         let m = st.to_memento("Account", &Value::from("a"));
         assert_eq!(m.bean(), "Account");
         assert_eq!(m.get("balance"), Some(&Value::from(42.0)));

@@ -25,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bean_map;
 mod bmp;
 mod container;
 mod context;
@@ -33,6 +34,7 @@ mod home;
 mod memento;
 mod meta;
 
+pub use bean_map::BeanMap;
 pub use bmp::BmpHome;
 pub use container::{Container, JdbcResourceManager, ResourceManager, TxAttr};
 pub use context::{InstanceState, TxContext};

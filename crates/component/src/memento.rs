@@ -8,59 +8,86 @@
 //! The optimistic commit protocol ships and compares exactly these images.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 
 use sli_datastore::{Schema, Value};
 
 /// A snapshot of one entity bean's state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Memento {
+///
+/// Images are shipped and compared by value, so a clone shares the image
+/// instead of copying it: a store hit, a transaction's before-image and its
+/// commit entry all point at one allocation. The first write to a shared
+/// image copies it (copy-on-write), so no holder ever sees another's write.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Memento(Arc<Image>);
+
+#[derive(Clone, PartialEq, Eq)]
+struct Image {
     bean: String,
     key: Value,
     fields: BTreeMap<String, Value>,
 }
 
+/// Java serialization's class-descriptor framing around the bean name.
+const CLASS_PREFIX: &str = "com.ibm.websphere.samples.trade.ejb.";
+const CLASS_SUFFIX: &str = "Memento";
+const SERIAL_VERSION_UID: u64 = 0x05CA_1AB1_EC0F_FEE5;
+
+impl fmt::Debug for Memento {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Memento")
+            .field("bean", &self.0.bean)
+            .field("key", &self.0.key)
+            .field("fields", &self.0.fields)
+            .finish()
+    }
+}
+
 impl Memento {
     /// Creates a memento for bean type `bean` with identity `key`.
     pub fn new(bean: impl Into<String>, key: Value) -> Memento {
-        Memento {
+        Memento(Arc::new(Image {
             bean: bean.into(),
             key,
             fields: BTreeMap::new(),
-        }
+        }))
     }
 
     /// The bean (entity) type name.
     pub fn bean(&self) -> &str {
-        &self.bean
+        &self.0.bean
     }
 
     /// The bean identity — the same value the bean's `getPrimaryKey`
     /// returns.
     pub fn primary_key(&self) -> &Value {
-        &self.key
+        &self.0.key
     }
 
     /// Sets a field (builder style).
     pub fn with_field(mut self, name: impl Into<String>, value: impl Into<Value>) -> Memento {
-        self.fields.insert(name.into(), value.into());
+        self.set(name, value);
         self
     }
 
-    /// Sets a field in place.
+    /// Sets a field in place, first copying the image if it is shared.
     pub fn set(&mut self, name: impl Into<String>, value: impl Into<Value>) {
-        self.fields.insert(name.into(), value.into());
+        Arc::make_mut(&mut self.0)
+            .fields
+            .insert(name.into(), value.into());
     }
 
     /// Reads a field.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.fields.get(name)
+        self.0.fields.get(name)
     }
 
     /// All fields, sorted by name.
     pub fn fields(&self) -> &BTreeMap<String, Value> {
-        &self.fields
+        &self.0.fields
     }
 
     /// Converts this memento into a row aligned with `schema` (missing
@@ -72,9 +99,9 @@ impl Memento {
             .enumerate()
             .map(|(i, col)| {
                 if i == schema.pk_index() {
-                    self.key.clone()
+                    self.0.key.clone()
                 } else {
-                    self.fields.get(&col.name).cloned().unwrap_or(Value::Null)
+                    self.get(&col.name).cloned().unwrap_or(Value::Null)
                 }
             })
             .collect()
@@ -82,31 +109,34 @@ impl Memento {
 
     /// Builds a memento from a row aligned with `schema`.
     pub fn from_row(bean: impl Into<String>, schema: &Schema, row: &[Value]) -> Memento {
-        let mut m = Memento::new(bean, row[schema.pk_index()].clone());
-        for (i, col) in schema.columns().iter().enumerate() {
-            if i != schema.pk_index() {
-                m.fields.insert(col.name.clone(), row[i].clone());
-            }
-        }
-        m
-    }
-
-    /// Stream prefix mirroring Java serialization's class descriptor: the
-    /// fully-qualified memento class name plus a serialVersionUID. The
-    /// paper's mementos travel as serialized Java objects, whose wire form
-    /// carries this metadata with every instance.
-    fn class_descriptor(&self) -> String {
-        format!("com.ibm.websphere.samples.trade.ejb.{}Memento", self.bean)
+        let fields = schema
+            .columns()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != schema.pk_index())
+            .map(|(i, col)| (col.name.clone(), row[i].clone()))
+            .collect();
+        Memento(Arc::new(Image {
+            bean: bean.into(),
+            key: row[schema.pk_index()].clone(),
+            fields,
+        }))
     }
 
     /// Encodes the memento onto a wire frame.
+    ///
+    /// The stream starts with a prefix mirroring Java serialization's class
+    /// descriptor: the fully-qualified memento class name plus a
+    /// serialVersionUID. The paper's mementos travel as serialized Java
+    /// objects, whose wire form carries this metadata with every instance.
     pub fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.class_descriptor());
-        w.put_u64(0x05CA_1AB1_EC0F_FEE5); // serialVersionUID
-        w.put_str(&self.bean);
-        self.key.encode(w);
-        w.put_u32(self.fields.len() as u32);
-        for (name, value) in &self.fields {
+        let image = &*self.0;
+        w.put_str(&format!("{CLASS_PREFIX}{}{CLASS_SUFFIX}", image.bean));
+        w.put_u64(SERIAL_VERSION_UID);
+        w.put_str(&image.bean);
+        image.key.encode(w);
+        w.put_u32(image.fields.len() as u32);
+        for (name, value) in &image.fields {
             w.put_str(name);
             value.encode(w);
         }
@@ -120,7 +150,10 @@ impl Memento {
         let class = r.get_str()?;
         let _uid = r.get_u64()?;
         let bean = r.get_str()?;
-        if !class.ends_with(&format!("{bean}Memento")) {
+        if !class
+            .strip_suffix(CLASS_SUFFIX)
+            .is_some_and(|c| c.ends_with(&bean))
+        {
             return Err(DecodeError::new("memento class descriptor"));
         }
         let key = Value::decode(r)?;
@@ -130,15 +163,24 @@ impl Memento {
             let name = r.get_str()?;
             fields.insert(name, Value::decode(r)?);
         }
-        Ok(Memento { bean, key, fields })
+        Ok(Memento(Arc::new(Image { bean, key, fields })))
     }
 
     /// The encoded size in bytes — the unit the paper's commit protocols
-    /// ship per image.
+    /// ship per image. Computed from the image, without encoding it.
     pub fn encoded_len(&self) -> usize {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        w.len()
+        let image = &*self.0;
+        let str_len = |s: &str| 4 + s.len();
+        str_len(CLASS_PREFIX) + image.bean.len() + CLASS_SUFFIX.len()
+            + 8 // serialVersionUID
+            + str_len(&image.bean)
+            + image.key.encoded_len()
+            + 4 // field count
+            + image
+                .fields
+                .iter()
+                .map(|(name, value)| str_len(name) + value.encoded_len())
+                .sum::<usize>()
     }
 }
 

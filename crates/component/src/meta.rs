@@ -43,6 +43,42 @@ pub struct EntityMeta {
     fields: Vec<FieldDef>,
     finders: BTreeMap<String, FinderDef>,
     indexes: Vec<String>,
+    sql: StatementTexts,
+}
+
+/// The fixed statement texts of an entity, built once from its table, key
+/// and fields (every commit entry, fetch and finder query reuses them).
+#[derive(Debug, Clone, PartialEq)]
+struct StatementTexts {
+    select_list: String,
+    exists: String,
+    load: String,
+    insert: String,
+    update: String,
+    delete: String,
+}
+
+impl StatementTexts {
+    fn new(table: &str, key: &str, fields: &[FieldDef]) -> StatementTexts {
+        let select_list = std::iter::once(key)
+            .chain(fields.iter().map(|f| f.name.as_str()))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let placeholders = vec!["?"; fields.len() + 1].join(", ");
+        let sets = fields
+            .iter()
+            .map(|f| format!("{} = ?", f.name))
+            .collect::<Vec<_>>()
+            .join(", ");
+        StatementTexts {
+            exists: format!("SELECT {key} FROM {table} WHERE {key} = ?"),
+            load: format!("SELECT {select_list} FROM {table} WHERE {key} = ?"),
+            insert: format!("INSERT INTO {table} ({select_list}) VALUES ({placeholders})"),
+            update: format!("UPDATE {table} SET {sets} WHERE {key} = ?"),
+            delete: format!("DELETE FROM {table} WHERE {key} = ?"),
+            select_list,
+        }
+    }
 }
 
 impl EntityMeta {
@@ -54,10 +90,12 @@ impl EntityMeta {
         key_field: impl Into<String>,
         key_type: ColumnType,
     ) -> EntityMeta {
+        let (table, key_field) = (table.into(), key_field.into());
         EntityMeta {
             bean: bean.into(),
-            table: table.into(),
-            key_field: key_field.into(),
+            sql: StatementTexts::new(&table, &key_field, &[]),
+            table,
+            key_field,
             key_type,
             fields: Vec::new(),
             finders: BTreeMap::new(),
@@ -71,6 +109,7 @@ impl EntityMeta {
             name: name.into(),
             ty,
         });
+        self.sql = StatementTexts::new(&self.table, &self.key_field, &self.fields);
         self
     }
 
@@ -149,57 +188,38 @@ impl EntityMeta {
     }
 
     /// `SELECT <key> FROM <table> WHERE <key> = ?` — the existence probe.
-    pub fn exists_sql(&self) -> String {
-        format!(
-            "SELECT {key} FROM {table} WHERE {key} = ?",
-            key = self.key_field,
-            table = self.table
-        )
+    pub fn exists_sql(&self) -> &str {
+        &self.sql.exists
     }
 
     /// `SELECT <all columns> FROM <table> WHERE <key> = ?` — `ejbLoad`.
-    pub fn load_sql(&self) -> String {
-        format!(
-            "SELECT {cols} FROM {table} WHERE {key} = ?",
-            cols = self.select_columns().join(", "),
-            table = self.table,
-            key = self.key_field
-        )
+    pub fn load_sql(&self) -> &str {
+        &self.sql.load
     }
 
     /// `INSERT INTO <table> (<all columns>) VALUES (?, ...)` — `ejbCreate`.
-    pub fn insert_sql(&self) -> String {
-        let cols = self.select_columns();
-        format!(
-            "INSERT INTO {table} ({names}) VALUES ({ph})",
-            table = self.table,
-            names = cols.join(", "),
-            ph = vec!["?"; cols.len()].join(", ")
-        )
+    pub fn insert_sql(&self) -> &str {
+        &self.sql.insert
     }
 
     /// `UPDATE <table> SET f = ?, ... WHERE <key> = ?` — `ejbStore`.
-    pub fn update_sql(&self) -> String {
-        let sets = self
-            .fields
-            .iter()
-            .map(|f| format!("{} = ?", f.name))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "UPDATE {table} SET {sets} WHERE {key} = ?",
-            table = self.table,
-            key = self.key_field
-        )
+    pub fn update_sql(&self) -> &str {
+        &self.sql.update
     }
 
     /// `DELETE FROM <table> WHERE <key> = ?` — `ejbRemove`.
-    pub fn delete_sql(&self) -> String {
-        format!(
-            "DELETE FROM {table} WHERE {key} = ?",
-            table = self.table,
-            key = self.key_field
-        )
+    pub fn delete_sql(&self) -> &str {
+        &self.sql.delete
+    }
+
+    /// `SELECT <all columns> FROM <table> [WHERE <predicate>]` — a custom
+    /// finder run against the persistent store for whole images.
+    pub fn query_sql(&self, predicate: &Predicate) -> String {
+        let (cols, table) = (self.select_list(), &self.table);
+        match predicate {
+            Predicate::True => format!("SELECT {cols} FROM {table}"),
+            p => format!("SELECT {cols} FROM {table} WHERE {}", p.to_sql()),
+        }
     }
 
     /// A `WHERE` fragment matching the key *and every field value* of
@@ -258,7 +278,7 @@ impl EntityMeta {
         (format!("DELETE FROM {} WHERE {clause}", self.table), params)
     }
 
-    /// Builds a memento from a row laid out as [`EntityMeta::select_columns`]
+    /// Builds a memento from a row laid out as [`EntityMeta::select_list`]
     /// (key first, then fields).
     pub fn memento_from_row(&self, row: &[Value]) -> crate::Memento {
         let mut m = crate::Memento::new(self.bean.clone(), row[0].clone());
@@ -317,12 +337,10 @@ impl EntityMeta {
             .collect()
     }
 
-    /// `SELECT *`-equivalent projection: key column then fields, in the
-    /// order `to_row`/`from_row` expect.
-    pub fn select_columns(&self) -> Vec<String> {
-        let mut cols = vec![self.key_field.clone()];
-        cols.extend(self.fields.iter().map(|f| f.name.clone()));
-        cols
+    /// `SELECT *`-equivalent projection list, `"<key>, <field>, ..."`: key
+    /// column then fields, in the order `to_row`/`from_row` expect.
+    pub fn select_list(&self) -> &str {
+        &self.sql.select_list
     }
 
     /// Validates a field write against the metadata.
@@ -507,10 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn select_columns_order() {
-        assert_eq!(
-            holding_meta().select_columns(),
-            vec!["id", "owner", "symbol", "qty"]
-        );
+    fn select_list_order() {
+        assert_eq!(holding_meta().select_list(), "id, owner, symbol, qty");
     }
 }

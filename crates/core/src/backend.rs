@@ -321,12 +321,7 @@ impl BackendServer {
                 let bean = r.get_str().map_err(wire_err)?;
                 let predicate = Predicate::decode(r).map_err(wire_err)?;
                 let meta = self.registry.meta(&bean)?;
-                let cols = meta.select_columns().join(", ");
-                let sql = match &predicate {
-                    Predicate::True => format!("SELECT {cols} FROM {}", meta.table()),
-                    p => format!("SELECT {cols} FROM {} WHERE {}", meta.table(), p.to_sql()),
-                };
-                let rs = self.conn.lock().execute(&sql, &[])?;
+                let rs = self.conn.lock().execute(&meta.query_sql(&predicate), &[])?;
                 w.put_u32(rs.len() as u32);
                 for row in rs.rows() {
                     meta.memento_from_row(row).encode(&mut w);

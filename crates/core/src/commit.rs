@@ -273,7 +273,7 @@ mod tests {
         {
             let st = ctx.enlist("A", &Value::from(2));
             st.load_from(&img("A", 2, 20.0));
-            st.fields.insert("balance".into(), Value::from(25.0));
+            st.set("A", &Value::from(2), "balance", Value::from(25.0));
             st.dirty = true;
         }
         // created bean
@@ -282,7 +282,7 @@ mod tests {
             st.created = true;
             st.loaded = true;
             st.exists = true;
-            st.fields.insert("balance".into(), Value::from(30.0));
+            st.set("A", &Value::from(3), "balance", Value::from(30.0));
         }
         // removed bean
         {

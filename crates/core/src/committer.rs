@@ -256,7 +256,7 @@ impl CommitTracer {
             now,
             now,
             SpanOutcome::Conflict,
-            Some(SpanDetail::Conflict(info)),
+            Some(SpanDetail::Conflict(Box::new(info))),
         );
     }
 }
@@ -464,21 +464,21 @@ fn run_validation(
                     *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
                     return Ok(conflict());
                 }
-                conn.execute(&meta.update_sql(), &meta.update_params(after))?;
+                conn.execute(meta.update_sql(), &meta.update_params(after))?;
             }
             EntryKind::Create { after } => {
                 if current.is_some() {
                     *forensics = Some(conflict_info(entry, None, current.as_ref()));
                     return Ok(conflict());
                 }
-                conn.execute(&meta.insert_sql(), &meta.insert_params(after))?;
+                conn.execute(meta.insert_sql(), &meta.insert_params(after))?;
             }
             EntryKind::Remove { before } => {
                 if current.as_ref() != Some(before) {
                     *forensics = Some(conflict_info(entry, Some(before), current.as_ref()));
                     return Ok(conflict());
                 }
-                conn.execute(&meta.delete_sql(), std::slice::from_ref(&entry.key))?;
+                conn.execute(meta.delete_sql(), std::slice::from_ref(&entry.key))?;
             }
         }
     }
@@ -659,7 +659,7 @@ fn run_per_image(
             }
             EntryKind::Update { before, after } => {
                 if unchecked_writes {
-                    conn.execute(&meta.update_sql(), &meta.update_params(after))?;
+                    conn.execute(meta.update_sql(), &meta.update_params(after))?;
                     continue;
                 }
                 let (sql, params) = meta.conditional_update_sql(before, after);
@@ -669,7 +669,7 @@ fn run_per_image(
                 }
             }
             EntryKind::Create { after } => {
-                match conn.execute(&meta.insert_sql(), &meta.insert_params(after)) {
+                match conn.execute(meta.insert_sql(), &meta.insert_params(after)) {
                     Ok(_) => {}
                     Err(sli_datastore::DbError::DuplicateKey(_)) => {
                         *forensics = Some(conflict_info(entry, None, None));
@@ -787,7 +787,7 @@ pub(crate) fn fetch_current(
     meta: &EntityMeta,
     key: &Value,
 ) -> EjbResult<Option<Memento>> {
-    let rs = conn.execute(&meta.load_sql(), std::slice::from_ref(key))?;
+    let rs = conn.execute(meta.load_sql(), std::slice::from_ref(key))?;
     Ok(rs.rows().first().map(|row| meta.memento_from_row(row)))
 }
 

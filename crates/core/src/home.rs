@@ -66,26 +66,26 @@ impl SliHome {
     /// Direct-access population: per-transaction store → common store →
     /// persistent fetch.
     fn ensure_loaded(&self, ctx: &mut TxContext, key: &Value) -> EjbResult<()> {
-        let bean = self.meta.bean().to_owned();
-        if let Some(inst) = ctx.instance(&bean, key) {
+        let bean = self.meta.bean();
+        if let Some(inst) = ctx.instance(bean, key) {
             if inst.removed {
-                return Err(EjbError::not_found(&bean, key));
+                return Err(EjbError::not_found(bean, key));
             }
             if inst.loaded {
                 return Ok(());
             }
         }
-        if let Some(image) = self.store.get(&bean, key) {
-            ctx.enlist(&bean, key).load_from(&image);
+        if let Some(image) = self.store.get(bean, key) {
+            ctx.enlist(bean, key).load_from(&image);
             return Ok(());
         }
-        match self.source.fetch(&bean, key)? {
+        match self.source.fetch(bean, key)? {
             Some(image) => {
                 self.store.put(image.clone());
-                ctx.enlist(&bean, key).load_from(&image);
+                ctx.enlist(bean, key).load_from(&image);
                 Ok(())
             }
-            None => Err(EjbError::not_found(&bean, key)),
+            None => Err(EjbError::not_found(bean, key)),
         }
     }
 }
@@ -101,12 +101,23 @@ impl Home for SliHome {
         for field in state.fields().keys() {
             self.meta.check_field(field)?;
         }
+        // The instance's image carries this home's bean name.
+        let image = if state.bean() == bean {
+            state
+        } else {
+            state
+                .fields()
+                .iter()
+                .fold(Memento::new(&bean, key.clone()), |m, (name, value)| {
+                    m.with_field(name.clone(), value.clone())
+                })
+        };
         // Recreating a bean this transaction removed nets out to an update.
         if let Some(inst) = ctx.instance_mut(&bean, &key) {
             if inst.removed && !inst.created {
                 inst.removed = false;
                 inst.dirty = true;
-                inst.fields = state.fields().clone();
+                inst.image = Some(image);
                 return Ok(EjbRef::new(bean, key));
             }
             if !inst.removed {
@@ -117,7 +128,7 @@ impl Home for SliHome {
             }
         }
         let inst = ctx.enlist(&bean, &key);
-        inst.fields = state.fields().clone();
+        inst.image = Some(image);
         inst.created = true;
         inst.loaded = true;
         inst.exists = true;
@@ -131,18 +142,18 @@ impl Home for SliHome {
     }
 
     fn find(&self, ctx: &mut TxContext, finder: &str, params: &[Value]) -> EjbResult<Vec<EjbRef>> {
-        let bean = self.meta.bean().to_owned();
+        let bean = self.meta.bean();
         let bound = self.meta.bind_finder(finder, params)?;
         // 1. The persistent store is the only tier guaranteed to hold the
         //    entire potential result set.
-        let persistent = self.source.query(&bean, &bound)?;
+        let persistent = self.source.query(bean, &bound)?;
         // 2. Merge: cache the images, but never overlay state the
         //    transaction has already observed or modified.
         for image in persistent {
             self.store.put(image.clone());
-            let already_touched = ctx.instance(&bean, image.primary_key()).is_some();
+            let already_touched = ctx.instance(bean, image.primary_key()).is_some();
             if !already_touched {
-                ctx.enlist(&bean, image.primary_key()).load_from(&image);
+                ctx.enlist(bean, image.primary_key()).load_from(&image);
             }
         }
         // 3. Run the finder against the transient state (created beans and
@@ -152,9 +163,9 @@ impl Home for SliHome {
             if b != bean || st.removed || !(st.loaded || st.created) {
                 continue;
             }
-            let row = st.to_memento(&bean, key).to_row(&self.schema);
+            let row = st.to_memento(bean, key).to_row(&self.schema);
             if bound.matches(&self.schema, &row)? {
-                matches.push(EjbRef::new(bean.clone(), key.clone()));
+                matches.push(EjbRef::new(bean, key.clone()));
             }
         }
         matches.sort_by(|a, b| a.primary_key().cmp(b.primary_key()));
@@ -182,7 +193,7 @@ impl Home for SliHome {
         let inst = ctx
             .instance(self.meta.bean(), key)
             .expect("ensure_loaded enlists");
-        Ok(inst.fields.get(field).cloned().unwrap_or(Value::Null))
+        Ok(inst.get(field).cloned().unwrap_or(Value::Null))
     }
 
     fn set_field(
@@ -200,10 +211,9 @@ impl Home for SliHome {
             });
         }
         self.ensure_loaded(ctx, key)?;
-        let inst = ctx
-            .instance_mut(self.meta.bean(), key)
-            .expect("ensure_loaded enlists");
-        inst.fields.insert(field.to_owned(), value);
+        let bean = self.meta.bean();
+        let inst = ctx.instance_mut(bean, key).expect("ensure_loaded enlists");
+        inst.set(bean, key, field, value);
         inst.dirty = true;
         Ok(())
     }
@@ -324,7 +334,7 @@ mod tests {
         home.create(&mut ctx, m).unwrap();
         let inst = ctx.instance("Holding", &Value::from(1)).unwrap();
         assert!(!inst.removed && inst.dirty && !inst.created);
-        assert_eq!(inst.fields.get("qty"), Some(&Value::from(999.0)));
+        assert_eq!(inst.get("qty"), Some(&Value::from(999.0)));
     }
 
     #[test]

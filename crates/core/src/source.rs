@@ -68,12 +68,7 @@ impl StateSource for DirectSource {
 
     fn query(&self, bean: &str, predicate: &Predicate) -> EjbResult<Vec<Memento>> {
         let meta = self.registry.meta(bean)?;
-        let cols = meta.select_columns().join(", ");
-        let sql = match predicate {
-            Predicate::True => format!("SELECT {cols} FROM {}", meta.table()),
-            p => format!("SELECT {cols} FROM {} WHERE {}", meta.table(), p.to_sql()),
-        };
-        let rs = self.conn.lock().execute(&sql, &[])?;
+        let rs = self.conn.lock().execute(&meta.query_sql(predicate), &[])?;
         Ok(rs.rows().iter().map(|r| meta.memento_from_row(r)).collect())
     }
 }

@@ -1,12 +1,11 @@
 //! The common transient store: inter-transaction bean-image cache.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
-use sli_component::Memento;
+use sli_component::{BeanMap, Memento};
 use sli_datastore::Value;
 use sli_simnet::wire::{Reader, Writer};
 use sli_simnet::Service;
@@ -126,24 +125,17 @@ impl Default for CommonStore {
 
 /// One shard: image map plus LRU bookkeeping. Every entry carries the
 /// global tick of its last use, and `recency` orders the shard's entries by
-/// that tick for O(log n) eviction.
+/// that tick for O(log n) eviction. Both sides hold the same shared image,
+/// so the index costs a pointer per entry.
 #[derive(Debug, Default)]
 struct StoreShard {
-    images: HashMap<(String, Value), (Memento, u64)>,
-    recency: std::collections::BTreeMap<u64, (String, Value)>,
+    images: BeanMap<(Memento, u64)>,
+    recency: std::collections::BTreeMap<u64, Memento>,
 }
 
 impl StoreShard {
-    fn touch(&mut self, key: &(String, Value), tick: u64) {
-        if let Some((_, old_tick)) = self.images.get_mut(key) {
-            self.recency.remove(old_tick);
-            *old_tick = tick;
-            self.recency.insert(tick, key.clone());
-        }
-    }
-
-    fn remove(&mut self, key: &(String, Value)) -> Option<Memento> {
-        let (image, tick) = self.images.remove(key)?;
+    fn remove(&mut self, bean: &str, key: &Value) -> Option<Memento> {
+        let (image, tick) = self.images.remove(bean, key)?;
         self.recency.remove(&tick);
         Some(image)
     }
@@ -154,24 +146,12 @@ impl StoreShard {
     }
 
     /// Removes this shard's least-recently-used entry. Returns `None` when
-    /// the recency index and image map disagree (desync) or the shard is
-    /// empty.
+    /// the recency index and image map disagree (desync; the stale index
+    /// entry is dropped so the caller can count the slip and move on) or
+    /// the shard is empty.
     fn pop_lru(&mut self) -> Option<Memento> {
-        let key = self.recency.values().next().cloned()?;
-        match self.images.remove(&key) {
-            Some((image, tick)) => {
-                self.recency.remove(&tick);
-                Some(image)
-            }
-            None => {
-                // The index points at an image that is gone: drop the stale
-                // index entry so the caller can count the slip and move on.
-                if let Some(tick) = self.lru_tick() {
-                    self.recency.remove(&tick);
-                }
-                None
-            }
-        }
+        let (_, oldest) = self.recency.pop_first()?;
+        self.remove(oldest.bean(), oldest.primary_key())
     }
 }
 
@@ -263,8 +243,8 @@ impl CommonStore {
         (h.finish() % self.shards.len() as u64) as usize
     }
 
-    fn shard_for(&self, entry_key: &(String, Value)) -> &RwLock<StoreShard> {
-        &self.shards[self.shard_index(&entry_key.0, &entry_key.1)]
+    fn shard_for(&self, bean: &str, key: &Value) -> &RwLock<StoreShard> {
+        &self.shards[self.shard_index(bean, key)]
     }
 
     fn next_tick(&self) -> u64 {
@@ -279,35 +259,38 @@ impl CommonStore {
     }
 
     /// Looks up the cached image for (`bean`, `key`), counting hit or miss
-    /// and refreshing the entry's recency.
+    /// and refreshing the entry's recency. A hit shares the cached image.
     pub fn get(&self, bean: &str, key: &Value) -> Option<Memento> {
-        let entry_key = (bean.to_owned(), key.clone());
-        let mut shard = self.shard_for(&entry_key).write();
-        let found = shard.images.get(&entry_key).map(|(m, _)| m.clone());
-        if found.is_some() {
-            shard.touch(&entry_key, self.next_tick());
-            self.hits.inc();
-        } else {
+        let mut shard = self.shard_for(bean, key).write();
+        let StoreShard { images, recency } = &mut *shard;
+        let Some((image, tick)) = images.get_mut(bean, key) else {
             self.misses.inc();
-        }
-        found
+            return None;
+        };
+        recency.remove(tick);
+        *tick = self.next_tick();
+        recency.insert(*tick, image.clone());
+        self.hits.inc();
+        Some(image.clone())
     }
 
     /// Installs or refreshes a committed image, evicting global-LRU entries
     /// while the store is over its entry cap or resident-bytes budget.
     pub fn put(&self, image: Memento) {
-        let entry_key = (image.bean().to_owned(), image.primary_key().clone());
         let encoded = image.encoded_len() as u64;
         {
-            let mut shard = self.shard_for(&entry_key).write();
-            if let Some(old) = shard.remove(&entry_key) {
+            let mut shard = self.shard_for(image.bean(), image.primary_key()).write();
+            if let Some(old) = shard.remove(image.bean(), image.primary_key()) {
                 self.entries.fetch_sub(1, Ordering::Relaxed);
                 self.resident
                     .fetch_sub(old.encoded_len() as u64, Ordering::Relaxed);
             }
             let tick = self.next_tick();
-            shard.images.insert(entry_key.clone(), (image, tick));
-            shard.recency.insert(tick, entry_key);
+            let key = image.primary_key().clone();
+            shard
+                .images
+                .insert(image.bean(), key, (image.clone(), tick));
+            shard.recency.insert(tick, image);
             self.entries.fetch_add(1, Ordering::Relaxed);
             self.resident.fetch_add(encoded, Ordering::Relaxed);
         }
@@ -375,8 +358,7 @@ impl CommonStore {
 
     /// Drops the image for (`bean`, `key`), if present.
     pub fn invalidate(&self, bean: &str, key: &Value) {
-        let entry_key = (bean.to_owned(), key.clone());
-        let removed = self.shard_for(&entry_key).write().remove(&entry_key);
+        let removed = self.shard_for(bean, key).write().remove(bean, key);
         if let Some(old) = removed {
             self.entries.fetch_sub(1, Ordering::Relaxed);
             self.resident

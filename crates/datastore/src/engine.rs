@@ -192,11 +192,12 @@ pub struct PlanCacheStats {
     pub entries: usize,
 }
 
-/// LRU-capped map from SQL text to its cached plan.
+/// LRU-capped map from SQL text to its cached plan. The map and the
+/// recency index share one copy of each text, so a hit allocates nothing.
 #[derive(Debug)]
 struct PlanCache {
-    plans: HashMap<String, (Arc<CachedPlan>, u64)>,
-    recency: BTreeMap<u64, String>,
+    plans: HashMap<Arc<str>, (Arc<CachedPlan>, u64)>,
+    recency: BTreeMap<u64, Arc<str>>,
     tick: u64,
     capacity: usize,
 }
@@ -216,9 +217,12 @@ impl PlanCache {
         self.tick += 1;
         let tick = self.tick;
         let (plan, old_tick) = self.plans.get_mut(sql)?;
-        self.recency.remove(old_tick);
+        let text = self
+            .recency
+            .remove(old_tick)
+            .expect("every cached plan has a recency entry");
         *old_tick = tick;
-        self.recency.insert(tick, sql.to_owned());
+        self.recency.insert(tick, text);
         Some(Arc::clone(plan))
     }
 
@@ -229,13 +233,14 @@ impl PlanCache {
 
     /// Installs a plan, evicting LRU entries past the cap. Returns how
     /// many plans were evicted.
-    fn insert(&mut self, sql: String, plan: Arc<CachedPlan>) -> u64 {
-        if let Some((_, old_tick)) = self.plans.remove(&sql) {
+    fn insert(&mut self, sql: &str, plan: Arc<CachedPlan>) -> u64 {
+        if let Some((_, old_tick)) = self.plans.remove(sql) {
             self.recency.remove(&old_tick);
         }
         self.tick += 1;
         let tick = self.tick;
-        self.plans.insert(sql.clone(), (plan, tick));
+        let sql: Arc<str> = Arc::from(sql);
+        self.plans.insert(Arc::clone(&sql), (plan, tick));
         self.recency.insert(tick, sql);
         let mut evicted = 0;
         while self.plans.len() > self.capacity {
@@ -811,7 +816,7 @@ impl Database {
         // shows up as a miss — but never grows the cache.
         self.plan_misses.inc();
         let plan = Arc::new(CachedPlan::new(parse(sql)?));
-        let evicted = self.plans.lock().insert(sql.to_owned(), Arc::clone(&plan));
+        let evicted = self.plans.lock().insert(sql, Arc::clone(&plan));
         self.plan_evictions.add(evicted);
         Ok(plan)
     }
@@ -997,15 +1002,19 @@ impl Database {
         params: &[Value],
     ) -> DbResult<ResultSet> {
         let t = self.table(table)?;
-        let schema = t.read().schema.clone();
         // Build the full row in schema order; unnamed columns become NULL.
-        let mut row = vec![Value::Null; schema.columns().len()];
-        for (col, scalar) in columns.iter().zip(values) {
-            let ci = schema.column_index(col)?;
-            row[ci] = schema.columns()[ci].ty.coerce(scalar.resolve(params)?);
-        }
-        schema.check_row(&row)?;
-        let pk = row[schema.pk_index()].clone();
+        let (row, pk) = {
+            let t = t.read();
+            let schema = &t.schema;
+            let mut row = vec![Value::Null; schema.columns().len()];
+            for (col, scalar) in columns.iter().zip(values) {
+                let ci = schema.column_index(col)?;
+                row[ci] = schema.columns()[ci].ty.coerce(scalar.resolve(params)?);
+            }
+            schema.check_row(&row)?;
+            let pk = row[schema.pk_index()].clone();
+            (row, pk)
+        };
 
         self.locks.acquire(
             txn.id,
@@ -1056,7 +1065,6 @@ impl Database {
         plan: &CachedPlan,
     ) -> DbResult<Vec<Value>> {
         let t = self.table(table)?;
-        let schema = t.read().schema.clone();
         let row_mode = if for_write {
             LockMode::Exclusive
         } else {
@@ -1077,7 +1085,10 @@ impl Database {
             recorded,
             Some(AccessPath::Index(_)) | Some(AccessPath::Scan)
         ) {
-            if let Some(pk) = predicate.equality_on(schema.pk_name()) {
+            // Bind the probe first: a guard in the `if let` scrutinee would
+            // stay held across the lock-manager waits below.
+            let probe = predicate.equality_on(t.read().schema.pk_name());
+            if let Some(pk) = probe {
                 if recorded.is_none() {
                     plan.record(epoch, AccessPath::PkPoint);
                 }
@@ -1090,7 +1101,7 @@ impl Database {
                 )?;
                 let t = t.read();
                 return Ok(match t.rows.get(pk) {
-                    Some(row) if predicate.matches(&schema, row)? => vec![pk.clone()],
+                    Some(row) if predicate.matches(&t.schema, row)? => vec![pk.clone()],
                     _ => Vec::new(),
                 });
             }
@@ -1136,7 +1147,7 @@ impl Database {
                 )?;
                 let t = t.read();
                 if let Some(row) = t.rows.get(&pk) {
-                    if predicate.matches(&schema, row)? {
+                    if predicate.matches(&t.schema, row)? {
                         out.push(pk);
                     }
                 }
@@ -1160,7 +1171,7 @@ impl Database {
         let t = t.read();
         let mut out = Vec::new();
         for (pk, row) in &t.rows {
-            if predicate.matches(&schema, row)? {
+            if predicate.matches(&t.schema, row)? {
                 out.push(pk.clone());
             }
         }
@@ -1306,26 +1317,30 @@ impl Database {
         let bound = predicate.bind(params)?;
         let pks = self.plan_matches(txn, table, &bound, true, plan)?;
         let t = self.table(table)?;
-        let schema = t.read().schema.clone();
 
         // Pre-resolve assignments.
-        let mut assignments = Vec::with_capacity(sets.len());
-        for (col, scalar) in sets {
-            let ci = schema.column_index(col)?;
-            if ci == schema.pk_index() {
-                return Err(DbError::TypeMismatch(format!(
-                    "cannot update primary key {table}.{col}"
-                )));
+        let assignments = {
+            let t = t.read();
+            let schema = &t.schema;
+            let mut assignments = Vec::with_capacity(sets.len());
+            for (col, scalar) in sets {
+                let ci = schema.column_index(col)?;
+                if ci == schema.pk_index() {
+                    return Err(DbError::TypeMismatch(format!(
+                        "cannot update primary key {table}.{col}"
+                    )));
+                }
+                let v = schema.columns()[ci].ty.coerce(scalar.resolve(params)?);
+                if !schema.columns()[ci].ty.admits(&v) {
+                    return Err(DbError::TypeMismatch(format!(
+                        "column {table}.{col} is {}, got {v}",
+                        schema.columns()[ci].ty
+                    )));
+                }
+                assignments.push((ci, v));
             }
-            let v = schema.columns()[ci].ty.coerce(scalar.resolve(params)?);
-            if !schema.columns()[ci].ty.admits(&v) {
-                return Err(DbError::TypeMismatch(format!(
-                    "column {table}.{col} is {}, got {v}",
-                    schema.columns()[ci].ty
-                )));
-            }
-            assignments.push((ci, v));
-        }
+            assignments
+        };
 
         let mut affected = 0;
         {

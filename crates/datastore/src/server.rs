@@ -19,7 +19,7 @@ use sli_simnet::{scale_cost_us, Clock, Remote, Service, SimDuration, COST_SCALE_
 use sli_telemetry::{Counter, Histogram, Registry, SpanDetail, SpanOutcome, Tracer};
 
 use crate::connection::Connection;
-use crate::engine::Database;
+use crate::engine::{Database, PLAN_CACHE_CAPACITY};
 use crate::error::DbError;
 use crate::result::ResultSet;
 use crate::trace::statement_class;
@@ -204,6 +204,45 @@ pub struct DbServer {
     clock: Arc<Clock>,
     metrics: DbServerMetrics,
     tracer: Mutex<Option<Arc<Tracer>>>,
+    classes: Mutex<ClassCache>,
+}
+
+/// Span classes derived once per distinct statement text or batch size, so
+/// every `db.stmt` span of one statement shares one class allocation.
+#[derive(Debug, Default)]
+struct ClassCache {
+    by_sql: HashMap<String, Arc<str>>,
+    by_batch: HashMap<usize, Arc<str>>,
+}
+
+impl ClassCache {
+    /// Forgets every class once either map outgrows the plan cache, so
+    /// ad-hoc statement texts cannot grow it without bound.
+    fn bound(&mut self) {
+        if self.by_sql.len() >= PLAN_CACHE_CAPACITY || self.by_batch.len() >= PLAN_CACHE_CAPACITY {
+            *self = ClassCache::default();
+        }
+    }
+
+    fn statement(&mut self, sql: &str) -> Arc<str> {
+        if let Some(class) = self.by_sql.get(sql) {
+            return Arc::clone(class);
+        }
+        self.bound();
+        let class: Arc<str> = statement_class(sql).into();
+        self.by_sql.insert(sql.to_owned(), Arc::clone(&class));
+        class
+    }
+
+    fn batch(&mut self, count: usize) -> Arc<str> {
+        if let Some(class) = self.by_batch.get(&count) {
+            return Arc::clone(class);
+        }
+        self.bound();
+        let class: Arc<str> = format!("batch:{count}").into();
+        self.by_batch.insert(count, Arc::clone(&class));
+        class
+    }
 }
 
 impl DbServer {
@@ -218,6 +257,7 @@ impl DbServer {
             clock,
             metrics: DbServerMetrics::default(),
             tracer: Mutex::new(None),
+            classes: Mutex::new(ClassCache::default()),
         })
     }
 
@@ -290,7 +330,7 @@ impl DbServer {
         let span = tracer
             .as_ref()
             .map(|t| (t.begin_rpc_server(span_op, wire_trace_id), self.now_us()));
-        let mut class = String::new();
+        let mut class = None;
         let result = self.run_op(op, request, &mut class);
         if let (Some(tracer), Some((span, start_us))) = (&tracer, span) {
             let outcome = if result.is_ok() {
@@ -298,8 +338,9 @@ impl DbServer {
             } else {
                 SpanOutcome::Error
             };
-            let detail =
-                (op == OP_EXEC || op == OP_EXEC_BATCH).then_some(SpanDetail::Statement { class });
+            let detail = (op == OP_EXEC || op == OP_EXEC_BATCH).then(|| SpanDetail::Statement {
+                class: class.unwrap_or_else(|| Arc::from("")),
+            });
             tracer.finish_with(span, 0, 0, start_us, self.now_us(), outcome, detail);
         }
         result
@@ -321,7 +362,12 @@ impl DbServer {
         }
     }
 
-    fn run_op(&self, op: u8, request: &mut Reader, class: &mut String) -> DbResult<Writer> {
+    fn run_op(
+        &self,
+        op: u8,
+        request: &mut Reader,
+        class: &mut Option<Arc<str>>,
+    ) -> DbResult<Writer> {
         let per_request_us = self.charge(self.cost.per_request);
         let mut w = Writer::new();
         w.put_u8(STATUS_OK);
@@ -383,7 +429,7 @@ impl DbServer {
                             );
                         }
                         Self::read_stamp(request, conn);
-                        *class = statement_class(&sql);
+                        *class = Some(self.classes.lock().statement(&sql));
                         let rs = conn.execute(&sql, &params)?;
                         let row_us = self.charge(self.cost.per_row.saturating_mul(rs.len() as u64));
                         self.metrics.statements.inc();
@@ -417,7 +463,7 @@ impl DbServer {
                             stmts.push((sql, params));
                         }
                         Self::read_stamp(request, conn);
-                        *class = format!("batch:{count}");
+                        *class = Some(self.classes.lock().batch(count));
                         // One per_request charge (taken above) covers the
                         // whole frame; rows still cost per_row each, so the
                         // db.batch span's duration decomposes exactly into
@@ -813,7 +859,7 @@ mod tests {
         let classes: Vec<_> = stmts
             .iter()
             .map(|e| match &e.detail {
-                Some(SpanDetail::Statement { class }) => class.as_str(),
+                Some(SpanDetail::Statement { class }) => &**class,
                 other => panic!("expected statement detail, got {other:?}"),
             })
             .collect();
@@ -919,7 +965,7 @@ mod tests {
         // still decompose.
         assert_eq!(batches[0].duration_us(), 425);
         match &batches[0].detail {
-            Some(SpanDetail::Statement { class }) => assert_eq!(class, "batch:2"),
+            Some(SpanDetail::Statement { class }) => assert_eq!(&**class, "batch:2"),
             other => panic!("expected statement detail, got {other:?}"),
         }
         let m = server.metrics();

@@ -109,6 +109,17 @@ impl Value {
         }
     }
 
+    /// The number of bytes [`Value::encode`] writes: a one-byte tag plus
+    /// the payload (strings carry a four-byte length prefix).
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::Int(_) | Value::Double(_) => 8,
+            Value::Str(v) => 4 + v.len(),
+        }
+    }
+
     /// Decodes a value from a wire frame.
     ///
     /// # Errors
@@ -273,7 +284,9 @@ mod tests {
         ];
         let mut w = Writer::new();
         for v in &vals {
+            let before = w.len();
             v.encode(&mut w);
+            assert_eq!(w.len() - before, v.encoded_len(), "{v:?}");
         }
         let mut r = Reader::new(w.finish());
         for v in &vals {

@@ -843,6 +843,22 @@ mod tests {
     use crate::span::{SpanDetail, SpanOutcome};
     use crate::ConflictInfo;
 
+    /// An untraced span (no tree coordinates, no detail).
+    fn event(op: &'static str, txn_id: u64, start_us: u64, end_us: u64) -> SpanEvent {
+        SpanEvent {
+            op,
+            origin: 1,
+            txn_id,
+            start_us,
+            end_us,
+            outcome: SpanOutcome::Committed,
+            trace_id: 0,
+            span_id: 0,
+            parent_span_id: 0,
+            detail: None,
+        }
+    }
+
     /// A config with short windows and fast calibration so unit tests can
     /// exercise the detectors with a handful of synthetic samples.
     fn quick_cfg() -> SloConfig {
@@ -1047,25 +1063,16 @@ mod tests {
             "fault_plan",
             Json::obj(vec![("unavailable_per_mille", Json::from(1_000u64))]),
         );
-        let mut conflict = SpanEvent::flat(
-            "commit.validate_apply",
-            1,
-            7,
-            5_000,
-            6_000,
-            SpanOutcome::Conflict,
-        );
-        conflict.detail = Some(SpanDetail::Conflict(ConflictInfo {
+        let mut conflict = event("commit.validate_apply", 7, 5_000, 6_000);
+        conflict.outcome = SpanOutcome::Conflict;
+        conflict.detail = Some(SpanDetail::Conflict(Box::new(ConflictInfo {
             bean: "Quote".into(),
             key: "q-17".into(),
             field: Some("price".into()),
             expected_digest: 1,
             found_digest: Some(2),
-        }));
-        mon.observe_spans(&[
-            SpanEvent::flat("http.request", 1, 0, 1_000, 2_000, SpanOutcome::Committed),
-            conflict,
-        ]);
+        })));
+        mon.observe_spans(&[event("http.request", 0, 1_000, 2_000), conflict]);
         calibrate(&mut mon, 100);
         for i in 0..400u64 {
             mon.observe_interaction(100_000 + 1_000 * (i + 1), 10_000, false);
@@ -1115,9 +1122,7 @@ mod tests {
     fn flight_recorder_rings_stay_bounded() {
         let cfg = quick_cfg();
         let mut mon = SloMonitor::new(cfg);
-        let burst: Vec<SpanEvent> = (0..100)
-            .map(|i| SpanEvent::flat("db.stmt", 1, 0, i, i + 1, SpanOutcome::Committed))
-            .collect();
+        let burst: Vec<SpanEvent> = (0..100).map(|i| event("db.stmt", 0, i, i + 1)).collect();
         mon.observe_spans(&burst);
         assert_eq!(mon.spans.len(), cfg.span_ring);
         assert_eq!(mon.spans.front().map(|s| s.start_us), Some(92));

@@ -22,6 +22,7 @@
 //! under the engine's in-flight trajectory must equal the summed session
 //! residences — L = λ·W as an integer identity, not an approximation.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::json::Json;
@@ -95,12 +96,12 @@ pub fn resource_for(bucket: Bucket) -> Resource {
 /// (`db.stmt:account.read`, `db.batch:batch:2`). Colon-joined to keep
 /// frame names free of spaces — collapsed-stack parsers split the count
 /// off at the last space.
-pub fn span_class(event: &SpanEvent) -> String {
+pub fn span_class(event: &SpanEvent) -> Cow<'static, str> {
     match &event.detail {
         Some(SpanDetail::Statement { class }) if !class.is_empty() => {
-            format!("{}:{class}", event.op)
+            Cow::Owned(format!("{}:{class}", event.op))
         }
-        _ => event.op.to_owned(),
+        _ => Cow::Borrowed(event.op),
     }
 }
 
@@ -143,8 +144,15 @@ impl Profile {
                 traces.entry(e.trace_id).or_default().push(e);
             }
         }
+        // Reused across spans: the root → self path and its stack key.
+        let mut path = Vec::new();
+        let mut stack = String::new();
         for spans in traces.values() {
-            let by_id: BTreeMap<u64, &SpanEvent> = spans.iter().map(|s| (s.span_id, *s)).collect();
+            let by_id: BTreeMap<u64, usize> = spans
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (s.span_id, i))
+                .collect();
             let complete = spans
                 .iter()
                 .all(|s| s.parent_span_id == 0 || by_id.contains_key(&s.parent_span_id));
@@ -157,29 +165,46 @@ impl Profile {
                     *child_us.entry(s.parent_span_id).or_default() += s.duration_us();
                 }
             }
-            for s in spans.iter() {
+            let names: Vec<Cow<'static, str>> = spans.iter().map(|s| span_class(s)).collect();
+            for (i, s) in spans.iter().enumerate() {
                 let nested = child_us.get(&s.span_id).copied().unwrap_or(0);
                 let self_us = s.duration_us().saturating_sub(nested);
-                let class = span_class(s);
-                let slot = self.classes.entry(class).or_insert(ClassStat {
-                    self_us: 0,
-                    spans: 0,
-                    bucket: bucket_for(s.op),
-                });
+                let class = &*names[i];
+                if !self.classes.contains_key(class) {
+                    let stat = ClassStat {
+                        self_us: 0,
+                        spans: 0,
+                        bucket: bucket_for(s.op),
+                    };
+                    self.classes.insert(class.to_owned(), stat);
+                }
+                let slot = self.classes.get_mut(class).expect("just ensured");
                 slot.self_us += self_us;
                 slot.spans += 1;
                 // Root → self frame path for the collapsed stack. Trees
                 // are a handful of levels deep, so chasing parents per
                 // span is cheap.
-                let mut frames = vec![span_class(s)];
+                path.clear();
+                path.push(i);
                 let mut at = s.parent_span_id;
                 while at != 0 {
                     let parent = by_id[&at];
-                    frames.push(span_class(parent));
-                    at = parent.parent_span_id;
+                    path.push(parent);
+                    at = spans[parent].parent_span_id;
                 }
-                frames.reverse();
-                *self.stacks.entry(frames.join(";")).or_default() += self_us;
+                stack.clear();
+                for (depth, &frame) in path.iter().rev().enumerate() {
+                    if depth > 0 {
+                        stack.push(';');
+                    }
+                    stack.push_str(&names[frame]);
+                }
+                match self.stacks.get_mut(stack.as_str()) {
+                    Some(us) => *us += self_us,
+                    None => {
+                        self.stacks.insert(stack.clone(), self_us);
+                    }
+                }
                 if s.parent_span_id == 0 {
                     self.total_us += s.duration_us();
                 }
@@ -541,7 +566,7 @@ mod tests {
     ) -> SpanEvent {
         let mut e = span(op, trace, id, parent, start, end);
         e.detail = Some(SpanDetail::Statement {
-            class: class.to_owned(),
+            class: class.into(),
         });
         e
     }

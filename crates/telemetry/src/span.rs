@@ -10,7 +10,7 @@
 //! instead.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// How a traced protocol step ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,16 +40,20 @@ impl SpanOutcome {
 
 /// Forensic payload attached to a span where the flat identity fields are
 /// not enough to diagnose the event.
+///
+/// Every variant is at most two words, so a [`SpanEvent`] stays within
+/// 96 bytes: a full trace log holds hundreds of thousands of them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpanDetail {
     /// A datastore statement leaf: `{table}.{kind}` class, e.g.
     /// `"account.read"` (empty for DDL/unclassified statements).
     Statement {
-        /// Statement class, `"{table}.{kind}"`.
-        class: String,
+        /// Statement class, `"{table}.{kind}"`. Shared: the server derives
+        /// it once per distinct statement text, not once per span.
+        class: Arc<str>,
     },
-    /// OCC validation-failure forensics.
-    Conflict(ConflictInfo),
+    /// OCC validation-failure forensics (boxed: rare and large).
+    Conflict(Box<ConflictInfo>),
     /// An RPC attempt number (1-based) under a retried call.
     Attempt {
         /// Which attempt of the enclosing call this was.
@@ -111,30 +115,6 @@ pub struct SpanEvent {
 }
 
 impl SpanEvent {
-    /// A flat, untraced event — no tree coordinates, no detail. Kept for
-    /// call sites (and tests) that predate causal tracing.
-    pub fn flat(
-        op: &'static str,
-        origin: u32,
-        txn_id: u64,
-        start_us: u64,
-        end_us: u64,
-        outcome: SpanOutcome,
-    ) -> SpanEvent {
-        SpanEvent {
-            op,
-            origin,
-            txn_id,
-            start_us,
-            end_us,
-            outcome,
-            trace_id: 0,
-            span_id: 0,
-            parent_span_id: 0,
-            detail: None,
-        }
-    }
-
     /// Span duration in simulated microseconds.
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
@@ -229,7 +209,18 @@ mod tests {
     use super::*;
 
     fn event(op: &'static str, txn_id: u64, outcome: SpanOutcome) -> SpanEvent {
-        SpanEvent::flat(op, 1, txn_id, 10 * txn_id, 10 * txn_id + 5, outcome)
+        SpanEvent {
+            op,
+            origin: 1,
+            txn_id,
+            start_us: 10 * txn_id,
+            end_us: 10 * txn_id + 5,
+            outcome,
+            trace_id: 0,
+            span_id: 0,
+            parent_span_id: 0,
+            detail: None,
+        }
     }
 
     #[test]

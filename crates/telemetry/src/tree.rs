@@ -292,13 +292,13 @@ mod tests {
     fn conflicts_nested_under_batch_spans_still_reach_the_leaderboard() {
         let mut conflict = span("occ.conflict", 11, 4, 3, 60, 61);
         conflict.outcome = SpanOutcome::Conflict;
-        conflict.detail = Some(SpanDetail::Conflict(ConflictInfo {
+        conflict.detail = Some(SpanDetail::Conflict(Box::new(ConflictInfo {
             bean: "holding".to_owned(),
             key: "42".to_owned(),
             field: Some("quantity".to_owned()),
             expected_digest: 1,
             found_digest: Some(2),
-        }));
+        })));
         let events = vec![
             span("request", 11, 1, 0, 0, 100),
             span("db.batch", 11, 2, 1, 10, 90),
@@ -318,8 +318,8 @@ mod tests {
             // Orphan: parent 99 was evicted.
             span("db.stmt", 5, 2, 99, 0, 10),
             span("request", 5, 1, 0, 0, 20),
-            // Untraced flat event.
-            SpanEvent::flat("commit.validate_apply", 1, 1, 0, 5, SpanOutcome::Committed),
+            // Untraced event: no tree coordinates.
+            span("commit.validate_apply", 0, 0, 0, 0, 5),
         ];
         let b = critical_path(&events);
         assert_eq!(b.traces, 0);
@@ -341,14 +341,15 @@ mod tests {
     #[test]
     fn leaderboard_ranks_hottest_entities_first() {
         let conflict = |bean: &str, key: &str, field: Option<&str>| {
-            let mut e = SpanEvent::flat("occ.conflict", 1, 1, 0, 0, SpanOutcome::Conflict);
-            e.detail = Some(SpanDetail::Conflict(ConflictInfo {
+            let mut e = span("occ.conflict", 0, 0, 0, 0, 0);
+            e.outcome = SpanOutcome::Conflict;
+            e.detail = Some(SpanDetail::Conflict(Box::new(ConflictInfo {
                 bean: bean.to_owned(),
                 key: key.to_owned(),
                 field: field.map(str::to_owned),
                 expected_digest: 1,
                 found_digest: Some(2),
-            }));
+            })));
             e
         };
         let events = vec![

@@ -7,7 +7,11 @@
 //!   image) are observationally equivalent;
 //! * a cache-enabled container and a vanilla container compute identical
 //!   persistent state for arbitrary operation sequences;
-//! * the regression and batching math behaves on arbitrary affine data.
+//! * the regression and batching math behaves on arbitrary affine data;
+//! * the allocation-lean hot path stays lean and isolated: span events fit
+//!   their size budget, arithmetic image sizes match the encoder, shared
+//!   bean images are copied on write, and repeated statements share one
+//!   span class.
 //!
 //! These used to be `proptest` properties; they are now plain seeded loops
 //! over the workspace's deterministic [`StdRng`] so the suite needs no
@@ -24,15 +28,18 @@ use rand::{Rng, SeedableRng};
 use sli_edge::component::BmpHome;
 use sli_edge::component::JdbcResourceManager;
 use sli_edge::component::{
-    share_connection, Container, EntityMeta, Memento, ResourceManager, TxContext,
+    share_connection, Container, EntityMeta, Home, Memento, ResourceManager, TxContext,
 };
 use sli_edge::core::{
     validate_and_apply, validate_and_apply_per_image, CombinedCommitter, CommitEntry,
     CommitOutcome, CommitRequest, CommonStore, DirectSource, EntryKind, MetaRegistry, SliHome,
     SliResourceManager,
 };
+use sli_edge::datastore::server::{DbCostModel, DbServer, RemoteConnection};
 use sli_edge::datastore::{CmpOp, ColumnType, Database, Predicate, SqlConnection, Value};
 use sli_edge::simnet::wire::{Reader, Writer};
+use sli_edge::simnet::{Clock, Path, PathSpec, Remote};
+use sli_edge::telemetry::{SpanDetail, SpanEvent, TraceLog, Tracer};
 use sli_edge::workload::{batch_means, fit};
 
 // ---------- generators ----------
@@ -511,5 +518,145 @@ fn batch_means_preserve_the_grand_mean_for_even_splits() {
         let b = batch_means(values, batches);
         let grand = values.iter().sum::<f64>() / values.len() as f64;
         assert!((b.overall.mean - grand).abs() < 1e-9 * (1.0 + grand.abs()));
+    }
+}
+
+// ---------- allocation-lean hot path ----------
+
+/// The trace log retains up to 2^18 events, so every byte of a span event
+/// is a quarter MiB of resident memory at capacity.
+#[test]
+fn span_event_fits_in_96_bytes() {
+    let size = std::mem::size_of::<SpanEvent>();
+    assert!(size <= 96, "SpanEvent is {size} bytes");
+}
+
+/// `encoded_len` is computed arithmetically; it must agree with the bytes
+/// the encoder writes, also for an image copied on write from a shared one.
+#[test]
+fn memento_encoded_len_matches_the_encoding() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_0009);
+    for _ in 0..300 {
+        let m = gen_memento(&mut rng);
+        let mut written = m.clone();
+        written.set("f_written", gen_value(&mut rng));
+        for image in [&m, &written] {
+            let mut w = Writer::new();
+            image.encode(&mut w);
+            assert_eq!(image.encoded_len(), w.len(), "memento {image:?}");
+        }
+    }
+}
+
+/// Clones of a bean image share it until a write; a write inside one
+/// transaction must never show in the common store's image, in another
+/// transaction's state or in the writer's own before-image.
+#[test]
+fn writes_never_change_images_held_elsewhere() {
+    let mut rng = StdRng::seed_from_u64(0x3e3e_000a);
+    let users: Vec<(String, f64)> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|u| (u.to_string(), rng.gen_range(0.0f64..100.0)))
+        .collect();
+    let db = db_with_rows(&users);
+    let store = CommonStore::new();
+    let source = Arc::new(DirectSource::new(Box::new(db.connect()), registry()));
+    let home = SliHome::new(account_meta(), Arc::clone(&store), source);
+    for round in 0..64 {
+        let key = Value::from(gen_user(&mut rng));
+        let (mut writer, mut reader) = (TxContext::new(), TxContext::new());
+        // Either transaction may fault the image in; the other then hits.
+        let (first, second) = if rng.gen_range(0..2u32) == 0 {
+            (&mut writer, &mut reader)
+        } else {
+            (&mut reader, &mut writer)
+        };
+        home.get_field(first, &key, "balance").unwrap();
+        home.get_field(second, &key, "balance").unwrap();
+        let cached = store.get("Account", &key).expect("faulted in");
+
+        for _ in 0..rng.gen_range(1..5u32) {
+            let (field, value) = if rng.gen_range(0..2u32) == 0 {
+                ("balance", Value::from(rng.gen_range(100.0f64..200.0)))
+            } else {
+                ("note", Value::from(gen_string(&mut rng, b"xyz", 6)))
+            };
+            home.set_field(&mut writer, &key, field, value.clone())
+                .unwrap();
+            assert_eq!(
+                home.get_field(&mut writer, &key, field).unwrap(),
+                value,
+                "round {round}: the writer reads its own write"
+            );
+        }
+
+        let written = writer.instance("Account", &key).unwrap();
+        assert_ne!(written.image.as_ref(), Some(&cached), "round {round}");
+        assert_eq!(written.before.as_ref(), Some(&cached), "round {round}");
+        assert_eq!(
+            store.get("Account", &key).as_ref(),
+            Some(&cached),
+            "round {round}"
+        );
+        let other = reader.instance("Account", &key).unwrap();
+        assert_eq!(other.image.as_ref(), Some(&cached), "round {round}");
+        assert_eq!(other.before.as_ref(), Some(&cached), "round {round}");
+        let read_only = CommitRequest::from_context(1, round, &reader);
+        assert_eq!(
+            read_only.entries[0].kind,
+            EntryKind::Read { before: cached },
+            "round {round}"
+        );
+    }
+}
+
+/// The database server derives a statement's span class once per distinct
+/// SQL text and batch size; every later span shares that allocation.
+#[test]
+fn statement_spans_of_one_sql_share_one_class() {
+    let db = Database::new();
+    db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR)")
+        .unwrap();
+    let clock = Arc::new(Clock::new());
+    let server = DbServer::new(db, Arc::clone(&clock), DbCostModel::default());
+    let log = Arc::new(TraceLog::with_capacity(256));
+    let tracer = Arc::new(Tracer::new(Arc::clone(&log)));
+    server.set_tracer(Arc::clone(&tracer));
+    let path = Path::new("edge-db", Arc::clone(&clock), PathSpec::lan());
+    let remote = Remote::new(path, Arc::clone(&server)).with_tracer(tracer);
+    let mut conn = RemoteConnection::open(remote).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x3e3e_000b);
+    let texts = [
+        "SELECT b FROM t WHERE a = ?",
+        "UPDATE t SET b = ? WHERE a = ?",
+    ];
+    let mut seen = Vec::new();
+    for _ in 0..40 {
+        let pick = rng.gen_range(0..texts.len());
+        let a = Value::from(rng.gen_range(0i64..8));
+        let params = match pick {
+            0 => vec![a],
+            _ => vec![Value::from(gen_string(&mut rng, b"pq", 4)), a],
+        };
+        conn.execute(texts[pick], &params).unwrap();
+        seen.push(pick);
+    }
+    let classes: Vec<Arc<str>> = log
+        .events()
+        .into_iter()
+        .filter(|e| e.op == "db.stmt")
+        .map(|e| match e.detail {
+            Some(SpanDetail::Statement { class }) => class,
+            other => panic!("expected a statement class, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(classes.len(), seen.len());
+    for (i, (class, pick)) in classes.iter().zip(&seen).enumerate() {
+        assert_eq!(&**class, ["t.read", "t.update"][*pick]);
+        let first = seen.iter().position(|p| p == pick).unwrap();
+        assert!(
+            Arc::ptr_eq(class, &classes[first]),
+            "span {i} re-allocated its class"
+        );
     }
 }
