@@ -511,8 +511,7 @@ impl<'t> LoadEngine<'t> {
                 live[idx].ready_at = clock.now() + plan.think;
             }
             if observer.is_some() || monitor.is_some() {
-                let trace = self.testbed.commit_trace();
-                let events = trace.events();
+                let events = self.testbed.commit_trace().drain();
                 if !events.is_empty() {
                     if let Some(mon) = monitor.as_deref_mut() {
                         mon.observe_spans(&events);
@@ -520,7 +519,6 @@ impl<'t> LoadEngine<'t> {
                     if let Some(obs) = observer.as_mut() {
                         obs(&events);
                     }
-                    trace.clear();
                 }
             }
             if let Some(mon) = monitor.as_deref_mut() {

@@ -266,9 +266,7 @@ impl Testbed {
         db.attach_wal();
         let db_server = DbServer::new(Arc::clone(&db), Arc::clone(&clock), DbCostModel::default());
         let telemetry = Arc::new(Registry::new());
-        // A measurement point at quick config already produces tens of
-        // thousands of spans; size the log so nothing is evicted mid-run.
-        let commit_trace = Arc::new(TraceLog::with_capacity(1 << 18));
+        let commit_trace = Arc::new(TraceLog::new());
         let tracer = Arc::new(Tracer::new(Arc::clone(&commit_trace)));
         db_server.metrics().register_with(&telemetry, "db.stmt");
         db.register_plan_metrics(&telemetry, "db.plan");
@@ -492,6 +490,12 @@ impl Testbed {
     /// The shared span log: request roots, `servlet.*`, `rpc.*`/`net.*`,
     /// `db.*`, `commit.*` and `occ.conflict` events, all carrying trace /
     /// parent-span ids for tree reconstruction.
+    ///
+    /// The log keeps the default [`TraceLog`] capacity, one drain window:
+    /// a consumer that needs every span drains it at least once per
+    /// session round and checks [`TraceLog::evicted`] across its measured
+    /// phase. Undrained spans, such as a warm-up's, are evicted oldest
+    /// first.
     pub fn commit_trace(&self) -> &Arc<TraceLog> {
         &self.commit_trace
     }
@@ -896,6 +900,43 @@ mod tests {
         tb.reset_telemetry();
         assert!(tb.commit_trace().is_empty());
         assert_eq!(tb.edges[0].server.metrics().status(200), 0);
+    }
+
+    #[test]
+    fn span_log_holds_one_drain_window_and_loses_no_measured_span() {
+        use sli_telemetry::{validate_profile, Profile};
+        use sli_trade::session::SessionGenerator;
+        let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
+        let mut generator = SessionGenerator::new(0x5eed_0013, Population::default());
+        let mut client = VirtualClient::new(&tb, 0);
+        // An undrained warm-up overflows the log: it stays at capacity and
+        // counts what it dropped.
+        for _ in 0..200 {
+            client.run_session(&generator.session());
+        }
+        let log = tb.commit_trace();
+        assert_eq!(log.len(), log.capacity());
+        assert!(log.evicted() > 0, "200 undrained sessions overflow the log");
+
+        tb.reset_telemetry();
+        assert!(log.is_empty());
+        let evicted_at_boundary = log.evicted();
+        let mut profile = Profile::default();
+        let mut measured_us = 0;
+        for _ in 0..30 {
+            for outcome in client.run_session(&generator.session()) {
+                assert_eq!(outcome.status, 200);
+                measured_us += outcome.latency.as_micros();
+            }
+            profile.fold(&log.drain());
+        }
+        assert_eq!(
+            log.evicted(),
+            evicted_at_boundary,
+            "a per-session drain keeps every measured span"
+        );
+        assert_eq!(profile.total_us, measured_us);
+        validate_profile(&profile.to_json("es-rbes measured")).expect("profile conserves");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Run with `cargo run --release -p sli-bench --bin contention`.
 
 use sli_arch::{Architecture, Flavor, Testbed, TestbedConfig, VirtualClient};
-use sli_bench::Cli;
+use sli_bench::{Cli, EvictionGuard};
 use sli_simnet::SimDuration;
 use sli_telemetry::{conflict_leaderboard, SpanEvent};
 use sli_trade::seed::Population;
@@ -55,6 +55,7 @@ fn run(
         .map(|i| VirtualClient::new(&testbed, i))
         .collect();
 
+    let guard = EvictionGuard::arm(testbed.commit_trace());
     let mut failed = 0u64;
     let mut conflict_events = Vec::new();
     // Interleave at the interaction level so edges genuinely race on the
@@ -74,10 +75,12 @@ fn run(
         }
         // Drain the bounded trace log each round, keeping only the OCC
         // abort forensics the leaderboard is built from.
-        let events = testbed.commit_trace().events();
+        let events = testbed.commit_trace().drain();
         conflict_events.extend(events.into_iter().filter(|e| e.conflict().is_some()));
-        testbed.commit_trace().clear();
     }
+    guard
+        .check(testbed.commit_trace())
+        .unwrap_or_else(|e| panic!("contention, {edges} edges: {e}"));
 
     let mut commits = 0;
     let mut conflicts = 0;

@@ -40,7 +40,7 @@ use sli_telemetry::{
     chrome_trace, conflict_leaderboard, critical_path, sparkline, validate_chrome_trace,
     validate_incident, validate_profile, validate_timeline, ArchReport, Breakdown, Bucket,
     ConflictEntry, Json, LittlesLaw, Profile, Resource, SloConfig, SloMonitor, SpanEvent,
-    TimelineDoc, TimelineReport,
+    TimelineDoc, TimelineReport, TraceLog,
 };
 use sli_trade::seed::Population;
 use sli_trade::session::SessionGenerator;
@@ -142,11 +142,9 @@ pub fn run_point(arch: Architecture, delay: SimDuration, cfg: RunConfig) -> Swee
 /// sampled window of raw span events suitable for Chrome-trace export.
 ///
 /// The measurement loop drains the testbed's bounded [`TraceLog`] after
-/// every session, so no mid-measurement span is ever evicted and the
-/// breakdown covers *every* measured interaction even at the paper's full
-/// 300-session protocol.
-///
-/// [`TraceLog`]: sli_telemetry::TraceLog
+/// every session, and an [`EvictionGuard`] fails the run if a measured
+/// span was evicted anyway, so the breakdown covers *every* measured
+/// interaction even at the paper's full 300-session protocol.
 #[derive(Clone, Debug, Default)]
 pub struct TraceHarvest {
     /// Critical-path decomposition aggregated over every measured request.
@@ -175,6 +173,39 @@ impl TraceHarvest {
     /// hottest entity first.
     pub fn leaderboard(&self) -> Vec<ConflictEntry> {
         conflict_leaderboard(&self.conflict_events)
+    }
+}
+
+/// Guards a measured phase against span loss: armed at the warm-up/measure
+/// boundary, it reports every [`TraceLog`] eviction since.
+///
+/// Losing a leaf span leaves the profile's conservation law intact, so
+/// without this check an eviction would go unnoticed.
+#[derive(Clone, Copy, Debug)]
+pub struct EvictionGuard {
+    armed_at: u64,
+}
+
+impl EvictionGuard {
+    /// Arms the guard at `log`'s current eviction count.
+    pub fn arm(log: &TraceLog) -> EvictionGuard {
+        EvictionGuard {
+            armed_at: log.evicted(),
+        }
+    }
+
+    /// Checks that `log` evicted nothing since the guard was armed.
+    ///
+    /// # Errors
+    /// Names the number of measured spans lost.
+    pub fn check(self, log: &TraceLog) -> Result<(), String> {
+        match log.evicted() - self.armed_at {
+            0 => Ok(()),
+            lost => Err(format!(
+                "the trace log evicted {lost} measured span(s); \
+                 drain it at least once per capacity's worth of spans"
+            )),
+        }
     }
 }
 
@@ -233,6 +264,10 @@ pub struct PointRun {
 /// The timeline is rebased at the warm-up/measure boundary (so rate totals
 /// cover exactly the measured interactions, matching the registry counter
 /// reads) and sampled after every interaction on the simulated clock.
+///
+/// # Panics
+/// Panics if the trace log evicted a measured span (see
+/// [`EvictionGuard`]).
 pub fn run_point_full(arch: Architecture, delay: SimDuration, cfg: RunConfig) -> PointRun {
     let testbed = Testbed::build(
         arch,
@@ -267,6 +302,7 @@ pub fn run_point_full(arch: Architecture, delay: SimDuration, cfg: RunConfig) ->
     testbed.reset_path_stats();
     testbed.reset_telemetry();
     timeline.rebase(testbed.clock.now().as_micros());
+    let guard = EvictionGuard::arm(testbed.commit_trace());
     let mut latencies = Vec::new();
     let mut ok = 0;
     let mut failed = 0;
@@ -287,7 +323,7 @@ pub fn run_point_full(arch: Architecture, delay: SimDuration, cfg: RunConfig) ->
         // conflict forensics accumulate across the whole measured phase
         // while the log itself never grows deep enough to evict a span
         // from a trace still being decomposed.
-        let events = testbed.commit_trace().events();
+        let events = testbed.commit_trace().drain();
         harvest.breakdown.merge(&critical_path(&events));
         harvest
             .conflict_events
@@ -295,8 +331,10 @@ pub fn run_point_full(arch: Architecture, delay: SimDuration, cfg: RunConfig) ->
         if s < SAMPLE_SESSIONS {
             harvest.sample_events.extend(events);
         }
-        testbed.commit_trace().clear();
     }
+    guard
+        .check(testbed.commit_trace())
+        .unwrap_or_else(|e| panic!("run_point_full: {e}"));
 
     let report = collect_report(&testbed, delay, &latencies, failed as u64);
     let batched = batch_means(&latencies, cfg.batches);
@@ -327,37 +365,6 @@ pub fn sweep(arch: Architecture, delays_ms: &[u64], cfg: RunConfig) -> Vec<Sweep
         .iter()
         .map(|&d| run_point(arch, SimDuration::from_millis(d), cfg))
         .collect()
-}
-
-/// Sweeps the proxy delay, returning the sweep points alongside one
-/// [`ArchReport`] row per delay.
-pub fn sweep_detailed(
-    arch: Architecture,
-    delays_ms: &[u64],
-    cfg: RunConfig,
-) -> (Vec<SweepPoint>, Vec<ArchReport>) {
-    delays_ms
-        .iter()
-        .map(|&d| run_point_detailed(arch, SimDuration::from_millis(d), cfg))
-        .unzip()
-}
-
-/// Sweeps the proxy delay, returning the sweep points, one [`ArchReport`]
-/// row per delay, and the merged [`TraceHarvest`] of the whole sweep.
-pub fn sweep_traced(
-    arch: Architecture,
-    delays_ms: &[u64],
-    cfg: RunConfig,
-) -> (Vec<SweepPoint>, Vec<ArchReport>, TraceHarvest) {
-    let mut points = Vec::new();
-    let mut reports = Vec::new();
-    let mut harvest = TraceHarvest::default();
-    for run in sweep_full(arch, delays_ms, cfg) {
-        points.push(run.point);
-        reports.push(run.report);
-        harvest.merge(run.harvest);
-    }
-    (points, reports, harvest)
 }
 
 /// Sweeps the proxy delay, returning every artifact per point (sweep
@@ -766,6 +773,10 @@ pub struct LoadedPointRun {
 /// closed-loop warm-up, telemetry reset, then [`LoadEngine::run`] over a
 /// deterministic arrival schedule, sampling the timeline at every
 /// dispatch.
+///
+/// # Panics
+/// Panics if the trace log evicted a measured span (see
+/// [`EvictionGuard`]).
 pub fn run_point_loaded(
     arch: Architecture,
     delay: SimDuration,
@@ -798,6 +809,7 @@ pub fn run_point_loaded(
     testbed.reset_path_stats();
     testbed.reset_telemetry();
     timeline.rebase(testbed.clock.now().as_micros());
+    let guard = EvictionGuard::arm(testbed.commit_trace());
 
     let plan = LoadPlan {
         arrivals: ArrivalPlan {
@@ -825,6 +837,9 @@ pub fn run_point_loaded(
         }
     };
     let run = engine.run_observed(&plan, Some(&timeline), Some(&mut observer));
+    guard
+        .check(testbed.commit_trace())
+        .unwrap_or_else(|e| panic!("run_point_loaded: {e}"));
 
     let arrival_span_s = arrival_us
         .last()
@@ -1069,7 +1084,9 @@ fn fault_plan_json(plan: FaultPlan) -> Json {
 ///
 /// # Panics
 /// Panics if a frozen incident fails `validate_incident` — an artifact the
-/// monitor itself produced must round-trip its own schema.
+/// monitor itself produced must round-trip its own schema — or if the
+/// trace log evicted a span the monitor should have seen (see
+/// [`EvictionGuard`]).
 pub fn run_point_monitored(
     arch: Architecture,
     delay: SimDuration,
@@ -1096,6 +1113,7 @@ pub fn run_point_monitored(
     }
     testbed.reset_path_stats();
     testbed.reset_telemetry();
+    let guard = EvictionGuard::arm(testbed.commit_trace());
 
     // The arrival process and the fault script realise the scenario.
     let mut process = cfg.load.process;
@@ -1170,6 +1188,9 @@ pub fn run_point_monitored(
     let arrival_us = plan.arrivals.times_us(plan.sessions);
     let t0 = testbed.clock.now().as_micros();
     let run = engine.run_monitored(&plan, None, None, &mut monitor, &schedule);
+    guard
+        .check(testbed.commit_trace())
+        .unwrap_or_else(|e| panic!("run_point_monitored: {e}"));
 
     let truth_us = match cfg.fault {
         Some(FaultClass::FlashCrowd) => Some(t0 + cfg.fault_at_ms * 1_000),
@@ -1374,6 +1395,37 @@ mod tests {
         let table = breakdown_table(&[("ES/RDB cached".to_owned(), harvest.breakdown)]);
         assert!(table.contains("network-crossing"));
         assert!(table.contains("statement-execution"));
+    }
+
+    #[test]
+    fn eviction_guard_fires_when_a_measured_span_is_lost() {
+        // One real ES/RBES session's spans, replayed into a log too small
+        // to hold them.
+        let tb = Testbed::build(Architecture::EsRbes, TestbedConfig::default());
+        let mut generator = SessionGenerator::new(0x5eed_0013, Population::default());
+        VirtualClient::new(&tb, 0).run_session(&generator.session());
+        let session = tb.commit_trace().drain();
+        let tiny = TraceLog::with_capacity(8);
+        assert!(session.len() > tiny.capacity());
+
+        // Evictions before the boundary are the warm-up's and are allowed.
+        session.iter().cloned().for_each(|e| tiny.record(e));
+        tiny.clear();
+        let guard = EvictionGuard::arm(&tiny);
+        // Draining within every window loses nothing ...
+        for window in session.chunks(tiny.capacity()) {
+            window.iter().cloned().for_each(|e| tiny.record(e));
+            assert_eq!(tiny.drain(), window);
+        }
+        assert_eq!(guard.check(&tiny), Ok(()));
+        // ... one undrained session overflows and the guard fires.
+        session.iter().cloned().for_each(|e| tiny.record(e));
+        let lost = session.len() - tiny.capacity();
+        let err = guard.check(&tiny).expect_err("measured spans were evicted");
+        assert!(
+            err.contains(&format!("evicted {lost} measured span")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! instead.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// How a traced protocol step ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +42,8 @@ impl SpanOutcome {
 /// not enough to diagnose the event.
 ///
 /// Every variant is at most two words, so a [`SpanEvent`] stays within
-/// 96 bytes: a full trace log holds hundreds of thousands of them.
+/// 96 bytes: spans are the most numerous thing telemetry keeps, and a
+/// full default-capacity [`TraceLog`] holds 4096 of them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpanDetail {
     /// A datastore statement leaf: `{table}.{kind}` class, e.g.
@@ -130,11 +131,22 @@ impl SpanEvent {
 }
 
 /// A bounded in-memory log of [`SpanEvent`]s; oldest events are dropped
-/// once the capacity is reached.
+/// once the capacity is reached, and every drop is counted
+/// ([`TraceLog::evicted`]).
+///
+/// A consumer that needs every span drains the log ([`TraceLog::drain`])
+/// at least once per capacity's worth of events, and checks that
+/// `evicted()` did not grow while it was measuring.
 #[derive(Debug)]
 pub struct TraceLog {
-    events: Mutex<VecDeque<SpanEvent>>,
+    ring: Mutex<Ring>,
     capacity: usize,
+}
+
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<SpanEvent>,
+    evicted: u64,
 }
 
 impl Default for TraceLog {
@@ -152,33 +164,50 @@ impl TraceLog {
     /// Creates a log keeping at most `capacity` recent events.
     pub fn with_capacity(capacity: usize) -> TraceLog {
         TraceLog {
-            events: Mutex::new(VecDeque::new()),
+            ring: Mutex::new(Ring::default()),
             capacity: capacity.max(1),
         }
     }
 
-    /// Appends an event, evicting the oldest if full.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().expect("trace lock")
+    }
+
+    /// Appends an event, evicting (and counting) the oldest if full.
     pub fn record(&self, event: SpanEvent) {
-        let mut events = self.events.lock().expect("trace lock");
-        if events.len() == self.capacity {
-            events.pop_front();
+        let mut ring = self.ring();
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
+            ring.evicted += 1;
         }
-        events.push_back(event);
+        ring.events.push_back(event);
     }
 
     /// A copy of the retained events, oldest first.
     pub fn events(&self) -> Vec<SpanEvent> {
-        self.events
-            .lock()
-            .expect("trace lock")
-            .iter()
-            .cloned()
-            .collect()
+        self.ring().events.iter().cloned().collect()
+    }
+
+    /// Moves the retained events out, oldest first, leaving the log empty
+    /// (its eviction count is kept).
+    pub fn drain(&self) -> Vec<SpanEvent> {
+        self.ring().events.drain(..).collect()
+    }
+
+    /// Events evicted to make room since the log was created; never
+    /// reset, so a harness reads it at a phase boundary and compares.
+    pub fn evicted(&self) -> u64 {
+        self.ring().evicted
+    }
+
+    /// The most events the log retains.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.lock().expect("trace lock").len()
+        self.ring().events.len()
     }
 
     /// True when no events are retained.
@@ -189,18 +218,17 @@ impl TraceLog {
     /// Counts retained events matching `op` (any op if `None`) and
     /// `outcome` (any outcome if `None`).
     pub fn count(&self, op: Option<&str>, outcome: Option<SpanOutcome>) -> usize {
-        self.events
-            .lock()
-            .expect("trace lock")
+        self.ring()
+            .events
             .iter()
             .filter(|e| op.is_none_or(|o| e.op == o))
             .filter(|e| outcome.is_none_or(|o| e.outcome == o))
             .count()
     }
 
-    /// Discards all retained events.
+    /// Discards all retained events (the eviction count is kept).
     pub fn clear(&self) {
-        self.events.lock().expect("trace lock").clear();
+        self.ring().events.clear();
     }
 }
 
@@ -247,6 +275,46 @@ mod tests {
         }
         let kept: Vec<u64> = log.events().iter().map(|e| e.txn_id).collect();
         assert_eq!(kept, vec![2, 3]);
+    }
+
+    #[test]
+    fn eviction_at_capacity_is_counted() {
+        let log = TraceLog::with_capacity(3);
+        for txn in 1..=3 {
+            log.record(event("op", txn, SpanOutcome::Committed));
+        }
+        assert_eq!(log.evicted(), 0, "filling to capacity evicts nothing");
+        log.record(event("op", 4, SpanOutcome::Committed));
+        assert_eq!(log.evicted(), 1);
+        assert_eq!(log.events()[0].txn_id, 2, "the oldest event went");
+        for txn in 5..=20 {
+            log.record(event("op", txn, SpanOutcome::Committed));
+        }
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.evicted(), 17, "every event past capacity evicts one");
+        log.clear();
+        assert_eq!(log.evicted(), 17, "clearing is not evicting");
+    }
+
+    #[test]
+    fn drain_moves_events_out_oldest_first() {
+        let log = TraceLog::with_capacity(4);
+        for txn in 1..=6 {
+            log.record(event("op", txn, SpanOutcome::Committed));
+        }
+        let copy = log.events();
+        let drained = log.drain();
+        assert_eq!(drained, copy);
+        let order: Vec<u64> = drained.iter().map(|e| e.txn_id).collect();
+        assert_eq!(order, vec![3, 4, 5, 6]);
+        assert!(log.is_empty());
+        assert_eq!(log.evicted(), 2, "draining leaves the eviction count alone");
+        assert!(log.drain().is_empty());
+        // The drained log fills to its capacity again before evicting.
+        for txn in 7..=10 {
+            log.record(event("op", txn, SpanOutcome::Committed));
+        }
+        assert_eq!(log.evicted(), 2);
     }
 
     #[test]

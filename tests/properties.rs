@@ -523,8 +523,8 @@ fn batch_means_preserve_the_grand_mean_for_even_splits() {
 
 // ---------- allocation-lean hot path ----------
 
-/// The trace log retains up to 2^18 events, so every byte of a span event
-/// is a quarter MiB of resident memory at capacity.
+/// Spans are the most numerous thing telemetry keeps: every byte of a
+/// span event is 4 KiB of resident memory in a full default-capacity log.
 #[test]
 fn span_event_fits_in_96_bytes() {
     let size = std::mem::size_of::<SpanEvent>();
