@@ -25,6 +25,10 @@
 //! lost-update bug, the WAL bug lives in the shared datastore, so every
 //! combination supports it.
 //!
+//! With crashes, each line also reports how many periodic WAL
+//! checkpoints the runs took (summed from each outcome's `WalStats`), so a
+//! crash sweep shows that recovery started from a folded log.
+//!
 //! `--exhaustive <DEPTH>` switches from seeded random walks to bounded-
 //! exhaustive enumeration of every interleaving whose first `DEPTH`
 //! scheduling decisions differ (small configurations only).
@@ -49,6 +53,15 @@ fn supports_injected_bug(arch: Architecture) -> bool {
             | Architecture::ClientsRas(Flavor::CachedEjb)
             | Architecture::EsRbes
     )
+}
+
+/// The checkpoint suffix of a summary line (empty unless the runs crash,
+/// which is when they attach a WAL).
+fn checkpoint_note(crashes: u32, checkpoints: u64) -> String {
+    if crashes == 0 {
+        return String::new();
+    }
+    format!(", {checkpoints} periodic WAL checkpoint(s) taken")
 }
 
 fn parse_u64(args: &sli_bench::CliArgs, name: &str, default: u64) -> u64 {
@@ -217,6 +230,7 @@ fn main() {
 
     let mut total_runs = 0u64;
     let mut total_committed = 0usize;
+    let mut total_checkpoints = 0u64;
     let mut caught: Option<(SliCheckConfig, SliCheckOutcome)> = None;
 
     'outer: for &arch in &archs {
@@ -255,12 +269,14 @@ fn main() {
             };
             let mut committed = 0usize;
             let mut aborted = 0usize;
+            let mut checkpoints = 0u64;
             for seed in seed_range.clone() {
                 let cfg = make_cfg(arch, seed);
                 let outcome = run_slicheck(&cfg, ScheduleSource::Random(seed));
                 total_runs += 1;
                 committed += outcome.committed;
                 aborted += outcome.aborted;
+                checkpoints += outcome.wal.map_or(0, |wal| wal.checkpoints);
                 if !outcome.violations.is_empty() {
                     let shrunk = report_violation(&cfg, &outcome);
                     caught = Some((cfg, shrunk));
@@ -268,9 +284,11 @@ fn main() {
                 }
             }
             total_committed += committed;
+            total_checkpoints += checkpoints;
             println!(
-                "ok   {key}: {} seed(s), {committed} committed / {aborted} aborted txns, 0 violations",
-                seed_range.end - seed_range.start
+                "ok   {key}: {} seed(s), {committed} committed / {aborted} aborted txns, 0 violations{}",
+                seed_range.end - seed_range.start,
+                checkpoint_note(crashes, checkpoints)
             );
         }
     }
@@ -291,7 +309,10 @@ fn main() {
             std::process::exit(1);
         }
         (None, false) => {
-            println!("{total_runs} run(s), {total_committed} committed txns, no violations");
+            println!(
+                "{total_runs} run(s), {total_committed} committed txns, no violations{}",
+                checkpoint_note(crashes, total_checkpoints)
+            );
         }
     }
 }

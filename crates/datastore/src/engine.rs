@@ -22,7 +22,7 @@ use crate::DbResult;
 
 /// One table: schema, primary-key-ordered rows, secondary indexes.
 #[derive(Debug)]
-struct Table {
+pub(crate) struct Table {
     schema: Schema,
     rows: BTreeMap<Value, Vec<Value>>,
     /// column name → value → set of primary keys.
@@ -36,6 +36,22 @@ impl Table {
             rows: BTreeMap::new(),
             indexes: HashMap::new(),
         }
+    }
+
+    pub(crate) fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Every row, in primary-key order.
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = &Vec<Value>> {
+        self.rows.values()
+    }
+
+    /// Columns with secondary indexes, sorted.
+    pub(crate) fn index_columns(&self) -> Vec<&String> {
+        let mut cols: Vec<&String> = self.indexes.keys().collect();
+        cols.sort();
+        cols
     }
 
     fn pk_of(&self, row: &[Value]) -> Value {
@@ -331,10 +347,35 @@ impl Database {
     /// Executes a DDL statement (`CREATE TABLE` / `CREATE INDEX`) outside
     /// any transaction.
     ///
+    /// With a WAL attached, the new physical design is folded into the
+    /// base checkpoint right away, so post-attach tables are durable and
+    /// recovery never meets a logged op whose table is missing from the
+    /// base. The fold captures the whole in-memory image, so DDL then runs
+    /// only while no transaction holds a lock: an uncommitted in-place
+    /// write would otherwise become durable.
+    ///
     /// # Errors
-    /// Fails on parse errors or if the object already exists.
+    /// Fails on parse errors or if the object already exists, and with
+    /// [`DbError::LockTimeout`] if a WAL is attached and a transaction
+    /// holds a lock (the DDL cannot take the schema-wide exclusive lock a
+    /// real engine would); nothing changes then.
     pub fn execute_ddl(&self, sql: &str) -> DbResult<()> {
         let stmt = parse(sql)?;
+        // The crashed gate keeps recovery's own rebuild DDL out of the
+        // fold: recovery folds once, after redo and undo.
+        if self.logging.load(Ordering::Relaxed) && !self.crashed.load(Ordering::Relaxed) {
+            return self
+                .locks
+                .while_idle(|| {
+                    self.apply_ddl(stmt)?;
+                    self.fold_wal()
+                })
+                .unwrap_or(Err(DbError::LockTimeout));
+        }
+        self.apply_ddl(stmt)
+    }
+
+    fn apply_ddl(&self, stmt: Statement) -> DbResult<()> {
         self.trace.record_statement();
         match stmt {
             Statement::CreateTable { name, columns, pk } => {
@@ -364,37 +405,6 @@ impl Database {
         // are stale (a scan plan may now have an index). Bumping the
         // epoch makes every plan replan lazily on its next execution.
         self.ddl_epoch.fetch_add(1, Ordering::Relaxed);
-        // With a WAL attached, fold the new physical design into the base
-        // checkpoint right away. DDL runs outside transactions, so the
-        // current committed image plus the log's committed stamps re-base
-        // losslessly — post-attach tables are durable, and recovery never
-        // meets a logged op whose table is missing from the base. The
-        // crashed gate keeps recovery's own rebuild DDL out of here.
-        if self.logging.load(Ordering::Relaxed) && !self.crashed.load(Ordering::Relaxed) {
-            let stamps = {
-                let guard = self.wal.lock();
-                match guard.as_ref() {
-                    Some(wal) => {
-                        let mut stamps = wal.base_stamps.clone();
-                        let mut winners: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
-                        for rec in wal.decode_flushed()? {
-                            if let WalBody::Commit {
-                                commit_seq, stamp, ..
-                            } = rec.body
-                            {
-                                winners.insert(commit_seq, stamp);
-                            }
-                        }
-                        stamps.extend(winners.into_values().flatten());
-                        Some(stamps)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(stamps) = stamps {
-                self.rebase_wal(stamps);
-            }
-        }
         Ok(())
     }
 
@@ -494,25 +504,12 @@ impl Database {
         timeline.track_counter(format!("{prefix}.evictions"), &self.plan_evictions);
     }
 
-    /// Columns with secondary indexes on `table` (sorted; empty for
-    /// unknown tables). Used by the checkpointer.
-    pub fn index_columns(&self, table: &str) -> Vec<String> {
-        match self.table(table) {
-            Ok(t) => {
-                let mut cols: Vec<String> = t.read().indexes.keys().cloned().collect();
-                cols.sort();
-                cols
-            }
-            Err(_) => Vec::new(),
-        }
-    }
-
     /// All rows of `table` in primary-key order (empty for unknown
-    /// tables). A physical dump for the checkpointer — no locks are taken,
-    /// so call it between transactions.
+    /// tables). A physical dump — no locks are taken, so call it between
+    /// transactions.
     pub fn dump_rows(&self, table: &str) -> Vec<Vec<Value>> {
         match self.table(table) {
-            Ok(t) => t.read().rows.values().cloned().collect(),
+            Ok(t) => t.read().rows().cloned().collect(),
             Err(_) => Vec::new(),
         }
     }
@@ -525,7 +522,10 @@ impl Database {
     ///
     /// DDL executed after attachment re-bases the checkpoint (see
     /// [`Database::execute_ddl`]), so later-created tables are as durable
-    /// as the original physical design.
+    /// as the original physical design. So does a writing commit that
+    /// leaves the log at least as large as its base while no transaction
+    /// holds a lock: the durable log stays within one base plus one
+    /// transaction's records.
     pub fn attach_wal(&self) {
         let base = self.checkpoint();
         let disk = WalDisk::new(
@@ -545,7 +545,7 @@ impl Database {
     /// Snapshot of the `wal.*` / `recovery.*` counters (all zero before
     /// [`Database::attach_wal`]).
     pub fn wal_stats(&self) -> WalStats {
-        self.wal_metrics.stats()
+        self.wal_metrics.stats(self.wal.lock().as_ref())
     }
 
     /// Injected bug for the slicheck self-test: when `on`, WAL flushes
@@ -606,7 +606,7 @@ impl Database {
     /// (undecodable records, or ops referencing tables absent from the
     /// base checkpoint). On error the engine stays down.
     pub fn recover(&self) -> DbResult<RecoveryReport> {
-        let (base, base_seq, base_next, base_stamps, records) = {
+        let (base, base_seq, base_next, records) = {
             let guard = self.wal.lock();
             let wal = guard
                 .as_ref()
@@ -615,10 +615,12 @@ impl Database {
                 wal.base.clone(),
                 wal.base_commit_seq,
                 wal.base_next_txn,
-                wal.base_stamps.clone(),
                 wal.decode_flushed()?,
             )
         };
+        // Down until the rebuilt image is folded into the log: statements
+        // fail meanwhile, and the rebuild DDL below stays out of the fold.
+        self.crashed.store(true, Ordering::Relaxed);
         // Volatile state is gone (crash) or about to be rebuilt.
         self.tables.write().clear();
         self.locks.clear();
@@ -634,7 +636,7 @@ impl Database {
             }
         }
         // Analysis.
-        let mut winners: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
+        let mut max_seq = base_seq;
         let mut committed: HashSet<u64> = HashSet::new();
         let mut max_lsn = 0u64;
         let mut max_txn = 0u64;
@@ -642,11 +644,9 @@ impl Database {
             max_lsn = max_lsn.max(rec.lsn);
             match &rec.body {
                 WalBody::Commit {
-                    txn,
-                    commit_seq,
-                    stamp,
+                    txn, commit_seq, ..
                 } => {
-                    winners.insert(*commit_seq, *stamp);
+                    max_seq = max_seq.max(*commit_seq);
                     committed.insert(*txn);
                     max_txn = max_txn.max(*txn);
                 }
@@ -675,12 +675,6 @@ impl Database {
         }
         // Restore the witness and the txn-id source past everything the
         // log has seen, then bring the engine back up.
-        let max_seq = winners
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(0)
-            .max(base_seq);
         self.commit_seq.store(max_seq, Ordering::Relaxed);
         let next = self
             .next_txn
@@ -688,18 +682,22 @@ impl Database {
             .max(base_next)
             .max(max_txn + 1);
         self.next_txn.store(next, Ordering::Relaxed);
+        // Committed identities accumulate across folds: stamps already in
+        // the base, then this log's winners in commit order.
+        self.fold_wal()?;
+        let committed = self
+            .wal
+            .lock()
+            .as_ref()
+            .map(|wal| wal.base_stamps.clone())
+            .unwrap_or_default();
         self.crashed.store(false, Ordering::Relaxed);
         self.wal_metrics.recoveries.inc();
         self.wal_metrics.redone.add(redo_count);
         self.wal_metrics.undone.add(undo_count);
         self.wal_metrics.torn_discarded.add(torn.len() as u64);
-        // Committed identities accumulate across rebases: stamps already
-        // folded into the base, then this log's winners in commit order.
-        let mut stamps = base_stamps;
-        stamps.extend(winners.into_values().flatten());
-        self.rebase_wal(stamps.clone());
         Ok(RecoveryReport {
-            committed: stamps,
+            committed,
             redo_count,
             undo_count,
             torn_txns: torn.len() as u64,
@@ -707,17 +705,37 @@ impl Database {
         })
     }
 
-    /// Captures the current committed state as the WAL's new base
-    /// checkpoint, truncating the durable records it subsumes. `stamps`
-    /// is the full committed `(origin, txn_id)` history the new base
-    /// represents. Call between transactions (recovery and DDL both
-    /// qualify) so the checkpoint is transaction-consistent.
-    fn rebase_wal(&self, stamps: Vec<(u32, u64)>) {
+    /// Captures the current state as the WAL's new base checkpoint and
+    /// folds the durable records it subsumes into it (see
+    /// [`WalDisk::fold`]). Recovery, DDL and the periodic checkpoint all
+    /// fold here. Call only while no transaction can have an uncommitted
+    /// write in place — the engine is down for recovery, and DDL and the
+    /// periodic checkpoint run under [`LockManager::while_idle`] — so the
+    /// checkpoint is transaction-consistent.
+    fn fold_wal(&self) -> DbResult<()> {
         let base = self.checkpoint();
         let seq = self.commit_seq.load(Ordering::Relaxed);
         let next = self.next_txn.load(Ordering::Relaxed);
-        if let Some(wal) = self.wal.lock().as_mut() {
-            wal.rebase(base, seq, next, stamps);
+        match self.wal.lock().as_mut() {
+            Some(wal) => wal.fold(base, seq, next),
+            None => Ok(()),
+        }
+    }
+
+    /// The periodic checkpoint, run at the end of every writing commit:
+    /// folds the log once it has outgrown its base, provided the durable
+    /// state is honest and no transaction holds a lock (so no uncommitted
+    /// in-place write can reach the base). A commit that finds a lock
+    /// held leaves the fold to a later one. The fold's result is not the
+    /// committer's concern: a corrupt log fails the next recovery loudly.
+    fn checkpoint_if_due(&self) {
+        let due = self
+            .wal
+            .lock()
+            .as_ref()
+            .is_some_and(WalDisk::checkpoint_due);
+        if due && matches!(self.locks.while_idle(|| self.fold_wal()), Some(Ok(()))) {
+            self.wal_metrics.checkpoints.inc();
         }
     }
 
@@ -799,7 +817,7 @@ impl Database {
         self.wal_metrics.timeline_into(timeline, prefix);
     }
 
-    fn table(&self, name: &str) -> DbResult<Arc<RwLock<Table>>> {
+    pub(crate) fn table(&self, name: &str) -> DbResult<Arc<RwLock<Table>>> {
         self.tables
             .read()
             .get(name)
@@ -904,6 +922,9 @@ impl Database {
         if point == Some(CrashPoint::PostApplyPreAck) {
             self.crash();
             return Err(self.down("post-apply: acknowledgement lost"));
+        }
+        if logging {
+            self.checkpoint_if_due();
         }
         Ok(())
     }

@@ -211,6 +211,15 @@ impl LockManager {
         self.released.notify_all();
     }
 
+    /// Runs `f` if no transaction holds any lock, and keeps every lock
+    /// request waiting until `f` returns; `None` if a lock is held. A
+    /// write needs a lock before it touches a table, so `f` sees only
+    /// committed state. `f` must not call back into the lock manager.
+    pub(crate) fn while_idle<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
+        let st = self.state.lock();
+        st.locks.values().all(HashMap::is_empty).then(f)
+    }
+
     /// Total number of (resource, holder) pairs — used by tests to check
     /// nothing leaks.
     pub fn lock_count(&self) -> usize {

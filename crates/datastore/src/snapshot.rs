@@ -52,16 +52,19 @@ impl Database {
     /// Serializes the entire committed state — schemas, secondary-index
     /// declarations, and all rows — to a checkpoint frame.
     ///
-    /// The checkpoint reflects a point-in-time view under brief per-table
-    /// read latches; call it between transactions (as a checkpointer
-    /// would) for a transaction-consistent image.
+    /// The checkpoint reflects a point-in-time view under one brief read
+    /// latch per table, encoding rows in place without copying them; call
+    /// it between transactions (as a checkpointer would) for a
+    /// transaction-consistent image.
     pub fn checkpoint(&self) -> Bytes {
         let mut w = Writer::new();
         w.put_u32(SNAPSHOT_MAGIC).put_u16(SNAPSHOT_VERSION);
         let names = self.table_names();
         w.put_u32(names.len() as u32);
         for name in names {
-            let schema = self.schema_of(&name).expect("listed table exists");
+            let table = self.table(&name).expect("listed table exists");
+            let t = table.read();
+            let schema = t.schema();
             w.put_str(&name);
             w.put_u32(schema.columns().len() as u32);
             for col in schema.columns() {
@@ -69,17 +72,15 @@ impl Database {
                 w.put_u8(type_tag(col.ty));
             }
             w.put_str(schema.pk_name());
-            let indexes = self.index_columns(&name);
+            let indexes = t.index_columns();
             w.put_u32(indexes.len() as u32);
-            for col in &indexes {
+            for col in indexes {
                 w.put_str(col);
             }
-            let rows = self.dump_rows(&name);
+            let rows = t.rows();
             w.put_u32(rows.len() as u32);
-            for row in rows {
-                for v in row {
-                    v.encode(&mut w);
-                }
+            for v in rows.flatten() {
+                v.encode(&mut w);
             }
         }
         w.finish()
@@ -153,6 +154,11 @@ impl TableImage {
 }
 
 /// Decodes a [`Database::checkpoint`] frame into per-table images.
+///
+/// Every count prefix is hostile until proven otherwise: each element it
+/// announces takes at least one byte, so no pre-allocation exceeds the
+/// bytes left in the frame. A table must have a column (its primary key),
+/// or a row count alone could drive 2^32 empty rows.
 pub(crate) fn decode_checkpoint(frame: Bytes) -> DbResult<Vec<TableImage>> {
     let wire = |e: DecodeError| DbError::Remote(format!("corrupt checkpoint: {e}"));
     let mut r = Reader::new(frame);
@@ -165,11 +171,16 @@ pub(crate) fn decode_checkpoint(frame: Bytes) -> DbResult<Vec<TableImage>> {
         ));
     }
     let tables = r.get_u32().map_err(wire)? as usize;
-    let mut images = Vec::with_capacity(tables);
+    let mut images = Vec::with_capacity(tables.min(r.remaining()));
     for _ in 0..tables {
         let name = r.get_str().map_err(wire)?;
         let ncols = r.get_u32().map_err(wire)? as usize;
-        let mut cols = Vec::with_capacity(ncols);
+        if ncols == 0 {
+            return Err(DbError::Remote(format!(
+                "corrupt checkpoint: table {name} has no columns"
+            )));
+        }
+        let mut cols = Vec::with_capacity(ncols.min(r.remaining()));
         for _ in 0..ncols {
             let col = r.get_str().map_err(wire)?;
             let ty = type_from_tag(r.get_u8().map_err(wire)?).map_err(wire)?;
@@ -177,12 +188,12 @@ pub(crate) fn decode_checkpoint(frame: Bytes) -> DbResult<Vec<TableImage>> {
         }
         let pk = r.get_str().map_err(wire)?;
         let nindexes = r.get_u32().map_err(wire)? as usize;
-        let mut indexes = Vec::with_capacity(nindexes);
+        let mut indexes = Vec::with_capacity(nindexes.min(r.remaining()));
         for _ in 0..nindexes {
             indexes.push(r.get_str().map_err(wire)?);
         }
         let nrows = r.get_u32().map_err(wire)? as usize;
-        let mut rows = Vec::with_capacity(nrows);
+        let mut rows = Vec::with_capacity(nrows.min(r.remaining() / ncols));
         for _ in 0..nrows {
             let mut row = Vec::with_capacity(ncols);
             for _ in 0..ncols {
@@ -275,6 +286,50 @@ mod tests {
         let mut corrupt = frame.to_vec();
         corrupt[0] = 0;
         assert!(Database::restore(Bytes::from(corrupt)).is_err());
+    }
+
+    /// The regressions: a 10-byte frame announcing `u32::MAX` tables used
+    /// to pre-allocate 515 GB, and a zero-column table let one row count
+    /// drive 2^32 iterations.
+    #[test]
+    fn hostile_counts_are_errors_not_aborts() {
+        let mut w = Writer::new();
+        w.put_u32(SNAPSHOT_MAGIC)
+            .put_u16(SNAPSHOT_VERSION)
+            .put_u32(u32::MAX);
+        let frame = w.finish();
+        assert_eq!(frame.len(), 10);
+        assert!(Database::restore(frame).is_err());
+
+        let mut w = Writer::new();
+        w.put_u32(SNAPSHOT_MAGIC)
+            .put_u16(SNAPSHOT_VERSION)
+            .put_u32(1)
+            .put_str("t")
+            .put_u32(0)
+            .put_str("a")
+            .put_u32(0)
+            .put_u32(u32::MAX);
+        assert!(Database::restore(w.finish()).is_err());
+    }
+
+    #[test]
+    fn mutated_checkpoints_never_panic() {
+        let frame = sample_db().checkpoint();
+        let mut errors = 0;
+        for seed in 0..2_000u64 {
+            let (mutant, prefix) = crate::wal::tests::mutate(&frame, seed);
+            let restored = Database::restore(Bytes::from(mutant));
+            assert!(
+                !prefix || restored.is_err(),
+                "seed {seed}: a strict prefix restored"
+            );
+            errors += usize::from(restored.is_err());
+        }
+        assert!(
+            errors > 1_000,
+            "only {errors} of 2000 mutants were rejected"
+        );
     }
 
     #[test]

@@ -12,10 +12,20 @@
 //! analysis/redo/undo over the flushed prefix and hands back a
 //! [`RecoveryReport`] the committers use to reseed their dedup tables.
 //!
-//! The "disk" is a `Vec<Bytes>` of encoded records: durable in the
-//! simulation's sense (it survives [`Database::crash`](crate::Database::crash),
-//! which wipes only volatile state), while unflushed `pending` records die
-//! with the process — exactly the distinction recovery semantics hinge on.
+//! The "disk" is a base checkpoint plus a `Vec<Bytes>` of the encoded
+//! records flushed since that checkpoint: durable in the simulation's
+//! sense (it survives [`Database::crash`](crate::Database::crash), which
+//! wipes only volatile state), while unflushed `pending` records die with
+//! the process — exactly the distinction recovery semantics hinge on.
+//!
+//! The log is bounded. [`WalDisk::fold`] replaces the base with a fresh
+//! checkpoint and truncates the records it subsumes; recovery, DDL and a
+//! periodic checkpoint all go through it. The periodic one runs at the end
+//! of a writing commit once the log has outgrown its base
+//! ([`WalDisk::checkpoint_due`]) and no transaction holds a lock, so the
+//! durable log never exceeds one base plus one transaction's records.
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use sli_simnet::wire::{DecodeError, Reader, Writer};
@@ -121,7 +131,9 @@ fn put_row(w: &mut Writer, row: &[Value]) {
 
 fn get_row(r: &mut Reader) -> Result<Vec<Value>, DecodeError> {
     let n = r.get_u32()? as usize;
-    let mut row = Vec::with_capacity(n);
+    // Every value takes at least one byte, so the remaining bytes cap an
+    // honest row's width; a hostile length prefix cannot size the buffer.
+    let mut row = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         row.push(Value::decode(r)?);
     }
@@ -233,11 +245,16 @@ fn decode_record(frame: &Bytes) -> Result<WalRecord, DecodeError> {
     Ok(WalRecord { lsn, body })
 }
 
+fn corrupt(e: DecodeError) -> DbError {
+    DbError::Remote(format!("corrupt wal record: {e}"))
+}
+
 /// The simulated durable log device.
 ///
 /// `flushed` frames survive a crash; `pending` frames are the in-memory
 /// tail that a crash discards. `base` is the checkpoint the log is
-/// relative to, captured when the WAL is attached.
+/// relative to, captured when the WAL is attached and replaced by every
+/// [`WalDisk::fold`].
 #[derive(Debug)]
 pub(crate) struct WalDisk {
     pub(crate) base: Bytes,
@@ -251,11 +268,18 @@ pub(crate) struct WalDisk {
     pub(crate) base_stamps: Vec<(u32, u64)>,
     pending: Vec<Bytes>,
     flushed: Vec<Bytes>,
+    /// Total bytes of `flushed`, kept as a running sum so the checkpoint
+    /// trigger costs nothing per commit.
+    log_bytes: u64,
     next_lsn: u64,
     /// Inject-bug switch: when set, `flush` silently discards the pending
     /// tail while reporting success — an acked-but-not-durable commit the
     /// slicheck crash sweep must catch as a lost committed write.
     drop_flush: bool,
+    /// Whether a flush was dropped since `base` was taken. The in-memory
+    /// state then holds a commit recovery would not rebuild, and a
+    /// checkpoint of it would make that lost commit durable after all.
+    dropped_since_base: bool,
 }
 
 impl WalDisk {
@@ -267,32 +291,73 @@ impl WalDisk {
             base_stamps: Vec::new(),
             pending: Vec::new(),
             flushed: Vec::new(),
+            log_bytes: 0,
             next_lsn: 0,
             drop_flush: false,
+            dropped_since_base: false,
         }
     }
 
-    /// Re-bases the log on a fresh checkpoint: `base` becomes the image
-    /// the (now empty) log is relative to and the durable records are
-    /// truncated. ARIES would write compensation records during undo;
-    /// truncating to a post-recovery checkpoint is the equivalent for an
-    /// in-simulation log, and is what stops a torn transaction's op
-    /// records from being re-undone — on top of later committed state —
-    /// by the *next* crash's recovery. LSNs stay monotonic across
-    /// rebases so record order is globally unambiguous.
-    pub(crate) fn rebase(
+    /// Folds the durable log into `base`, a fresh checkpoint of the
+    /// current committed state: the committed stamps of the flushed
+    /// records join `base_stamps` in commit order, and the records are
+    /// truncated. This is the one fold path — recovery, DDL and the
+    /// periodic checkpoint all end here.
+    ///
+    /// ARIES would write compensation records during undo; truncating to
+    /// a post-recovery checkpoint is the equivalent for an in-simulation
+    /// log, and is what stops a torn transaction's op records from being
+    /// re-undone — on top of later committed state — by the *next*
+    /// crash's recovery. LSNs stay monotonic across folds so record order
+    /// is globally unambiguous.
+    ///
+    /// # Errors
+    /// Fails, leaving the log untouched, if a flushed record is corrupt.
+    pub(crate) fn fold(
         &mut self,
         base: Bytes,
         base_commit_seq: u64,
         base_next_txn: u64,
-        base_stamps: Vec<(u32, u64)>,
-    ) {
+    ) -> DbResult<()> {
+        // Only commit records carry stamps; op records are skipped by
+        // their kind byte rather than decoded.
+        let mut winners: BTreeMap<u64, Option<(u32, u64)>> = BTreeMap::new();
+        for frame in self
+            .flushed
+            .iter()
+            .filter(|f| f.first() == Some(&REC_COMMIT))
+        {
+            if let WalBody::Commit {
+                commit_seq, stamp, ..
+            } = decode_record(frame).map_err(corrupt)?.body
+            {
+                winners.insert(commit_seq, stamp);
+            }
+        }
+        self.base_stamps.extend(winners.into_values().flatten());
         self.base = base;
         self.base_commit_seq = base_commit_seq;
         self.base_next_txn = base_next_txn;
-        self.base_stamps = base_stamps;
         self.pending.clear();
         self.flushed.clear();
+        self.log_bytes = 0;
+        self.dropped_since_base = false;
+        Ok(())
+    }
+
+    /// Whether a periodic checkpoint should fold the log now: the flushed
+    /// records have outgrown the base they are relative to, and the
+    /// durable state is honest (no flush was dropped since the base was
+    /// taken, so a checkpoint captures only what recovery would rebuild).
+    /// Base-relative, so it needs no size constant: each fold costs
+    /// O(base) and follows O(base) logged bytes.
+    pub(crate) fn checkpoint_due(&self) -> bool {
+        !self.dropped_since_base && self.log_bytes >= self.base.len() as u64
+    }
+
+    /// Bytes of the durable log since the base checkpoint.
+    pub(crate) fn log_bytes(&self) -> u64 {
+        self.log_bytes
     }
 
     pub(crate) fn set_drop_flush(&mut self, on: bool) {
@@ -328,12 +393,14 @@ impl WalDisk {
         metrics.flushes.inc();
         if self.drop_flush {
             metrics.dropped_flushes.add(self.pending.len() as u64);
+            self.dropped_since_base |= !self.pending.is_empty();
             self.pending.clear();
             return;
         }
         for frame in self.pending.drain(..) {
             metrics.flushed_records.inc();
             metrics.flushed_bytes.add(frame.len() as u64);
+            self.log_bytes += frame.len() as u64;
             self.flushed.push(frame);
         }
     }
@@ -347,9 +414,7 @@ impl WalDisk {
     pub(crate) fn decode_flushed(&self) -> DbResult<Vec<WalRecord>> {
         self.flushed
             .iter()
-            .map(|f| {
-                decode_record(f).map_err(|e| DbError::Remote(format!("corrupt wal record: {e}")))
-            })
+            .map(|f| decode_record(f).map_err(corrupt))
             .collect()
     }
 }
@@ -367,6 +432,10 @@ pub(crate) struct WalMetrics {
     pub(crate) redone: Counter,
     pub(crate) undone: Counter,
     pub(crate) torn_discarded: Counter,
+    /// Periodic checkpoints taken. Read through [`WalStats`] only: it is
+    /// not attached to the registry, so timeline artifacts keep their
+    /// series.
+    pub(crate) checkpoints: Counter,
 }
 
 impl WalMetrics {
@@ -381,6 +450,7 @@ impl WalMetrics {
             redone: Counter::new(),
             undone: Counter::new(),
             torn_discarded: Counter::new(),
+            checkpoints: Counter::new(),
         }
     }
 
@@ -420,7 +490,9 @@ impl WalMetrics {
         timeline.track_counter(format!("{prefix}.recovery.torn_txns"), &self.torn_discarded);
     }
 
-    pub(crate) fn stats(&self) -> WalStats {
+    /// The counters, plus the size of `disk`'s base and log when one is
+    /// attached.
+    pub(crate) fn stats(&self, disk: Option<&WalDisk>) -> WalStats {
         WalStats {
             appends: self.appends.get(),
             flushes: self.flushes.get(),
@@ -431,12 +503,16 @@ impl WalMetrics {
             redone_ops: self.redone.get(),
             undone_ops: self.undone.get(),
             torn_txns: self.torn_discarded.get(),
+            checkpoints: self.checkpoints.get(),
+            log_bytes: disk.map_or(0, WalDisk::log_bytes),
+            base_bytes: disk.map_or(0, |d| d.base.len() as u64),
         }
     }
 }
 
-/// Snapshot of the `wal.*` / `recovery.*` counters — `PartialEq` so the
-/// seeded-determinism pin can assert two replays agree bit for bit.
+/// Snapshot of the `wal.*` / `recovery.*` counters and of the log's
+/// current size — `PartialEq` so the seeded-determinism pin can assert
+/// two replays agree bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalStats {
     /// Records appended to the pending tail.
@@ -457,6 +533,12 @@ pub struct WalStats {
     pub undone_ops: u64,
     /// Distinct torn (uncommitted-but-logged) transactions discarded.
     pub torn_txns: u64,
+    /// Periodic checkpoints that folded the log into a fresh base.
+    pub checkpoints: u64,
+    /// Current size of the durable log: bytes flushed since the base.
+    pub log_bytes: u64,
+    /// Size of the base checkpoint the log is relative to.
+    pub base_bytes: u64,
 }
 
 /// What [`Database::recover`](crate::Database::recover) reconstructed,
@@ -475,4 +557,148 @@ pub struct RecoveryReport {
     pub torn_txns: u64,
     /// Highest LSN seen in the durable log (0 when the log is empty).
     pub max_lsn: u64,
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// splitmix64 over `(seed, n)`: the seeded stream the mutation loops
+    /// draw from, so every failure reproduces from its printed seed.
+    fn mix(seed: u64, n: u64) -> u64 {
+        let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One seeded mutation of a valid frame: a strict prefix, a flipped
+    /// byte, a 4-byte window overwritten with a huge length, or inserted
+    /// junk. Returns the mutant and whether it is a strict prefix — the
+    /// encodings consume every byte, so a prefix must always fail.
+    pub(crate) fn mutate(frame: &[u8], seed: u64) -> (Vec<u8>, bool) {
+        let r = |n: u64| mix(seed, n);
+        let len = frame.len() as u64;
+        let mut out = frame.to_vec();
+        match r(0) % 4 {
+            0 => {
+                out.truncate((r(1) % len) as usize);
+                return (out, true);
+            }
+            1 => out[(r(1) % len) as usize] ^= (r(2) % 255 + 1) as u8,
+            2 if len >= 4 => {
+                let at = (r(1) % (len - 3)) as usize;
+                let huge = if r(2) % 2 == 0 {
+                    u32::MAX
+                } else {
+                    (r(3) as u32) | 0x0100_0000
+                };
+                out[at..at + 4].copy_from_slice(&huge.to_be_bytes());
+            }
+            _ => {
+                let at = (r(1) % (len + 1)) as usize;
+                let junk: Vec<u8> = (0..1 + r(2) % 8).map(|i| r(10 + i) as u8).collect();
+                out.splice(at..at, junk);
+            }
+        }
+        (out, false)
+    }
+
+    fn value(seed: u64, n: u64) -> Value {
+        let r = mix(seed, n);
+        match r % 5 {
+            0 => Value::Null,
+            1 => Value::Bool(r & 0x100 != 0),
+            2 => Value::Int((r >> 8) as i64),
+            3 => Value::Double((r >> 11) as f64 / 7.0),
+            _ => Value::Str(format!("s{}", r >> 40)),
+        }
+    }
+
+    fn row(seed: u64, n: u64) -> Vec<Value> {
+        (0..1 + mix(seed, n) % 4)
+            .map(|i| value(seed, n * 16 + i + 1))
+            .collect()
+    }
+
+    /// A valid record of every kind, built from `seed`.
+    fn records(seed: u64) -> Vec<Bytes> {
+        let table = "holding".to_owned();
+        vec![
+            encode_op(
+                seed,
+                3,
+                &WalOp::Insert {
+                    table: table.clone(),
+                    row: row(seed, 1),
+                },
+            ),
+            encode_op(
+                seed + 1,
+                3,
+                &WalOp::Update {
+                    table: table.clone(),
+                    pk: value(seed, 2),
+                    old: row(seed, 3),
+                    new: row(seed, 4),
+                },
+            ),
+            encode_op(
+                seed + 2,
+                3,
+                &WalOp::Delete {
+                    table,
+                    old: row(seed, 5),
+                },
+            ),
+            encode_commit(seed + 3, 3, 9, Some((1, seed))),
+            encode_commit(seed + 4, 4, 10, None),
+        ]
+    }
+
+    #[test]
+    fn valid_records_decode() {
+        for seed in 0..64 {
+            for frame in records(seed) {
+                decode_record(&frame).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            }
+        }
+    }
+
+    /// The regression: an Insert into `t` whose row claims `u32::MAX`
+    /// values used to pre-allocate for all of them and abort.
+    #[test]
+    fn hostile_row_length_is_an_error_not_an_abort() {
+        let mut w = Writer::new();
+        w.put_u8(REC_INSERT)
+            .put_u64(0)
+            .put_u64(1)
+            .put_str("t")
+            .put_u32(u32::MAX);
+        let frame = w.finish();
+        assert_eq!(frame.len(), 26);
+        assert!(decode_record(&frame).is_err());
+    }
+
+    #[test]
+    fn mutated_records_never_panic() {
+        let mut errors = 0;
+        for seed in 0..2_000u64 {
+            for (i, frame) in records(seed).iter().enumerate() {
+                let (mutant, prefix) = mutate(frame, seed * 8 + i as u64);
+                let decoded = decode_record(&Bytes::from(mutant));
+                assert!(
+                    !prefix || decoded.is_err(),
+                    "seed {seed} record {i}: a strict prefix decoded"
+                );
+                errors += usize::from(decoded.is_err());
+            }
+        }
+        // Most mutants are garbage; the loop must actually exercise the
+        // error paths, not only flip payload bytes.
+        assert!(
+            errors > 5_000,
+            "only {errors} of 10000 mutants were rejected"
+        );
+    }
 }

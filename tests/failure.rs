@@ -693,11 +693,85 @@ fn is_durable(point: CrashPoint) -> bool {
     )
 }
 
-fn run_crash_point_cell(key: &str, point: CrashPoint) {
+/// A 10.0 transfer between carol and dave, stamped `(2, txn_id)`:
+/// `forward` moves carol 50 → 40 and dave 50 → 60, the reverse moves the
+/// money back.
+fn side_request(txn_id: u64, forward: bool) -> CommitRequest {
+    let (carol, dave) = if forward { (50.0, 50.0) } else { (40.0, 60.0) };
+    let step = if forward { -10.0 } else { 10.0 };
+    let update = |user: &str, from: f64, to: f64| CommitEntry {
+        bean: "Account".to_owned(),
+        key: Value::from(user),
+        kind: EntryKind::Update {
+            before: account_memento(user, from),
+            after: account_memento(user, to),
+        },
+    };
+    CommitRequest {
+        origin: 2,
+        txn_id,
+        entries: vec![
+            update("carol", carol, carol + step),
+            update("dave", dave, dave - step),
+        ],
+    }
+}
+
+/// The side traffic a warm matrix cell commits before its transfer:
+/// carol and dave join the bank and trade 10.0 back and forth four times,
+/// leaving alice and bob untouched and every balance where it started.
+/// Stamped combos commit through `committer` (stamps `(2, 1..=4)`, which
+/// this returns in commit order); the others run plain SQL transactions.
+/// Asserts that the traffic took at least one periodic checkpoint.
+fn warm_up(db: &Arc<Database>, committer: Option<&MatrixCommitter>) -> Vec<(u32, u64)> {
+    let mut conn = db.connect();
+    for user in ["carol", "dave"] {
+        conn.execute(
+            "INSERT INTO account (userid, balance) VALUES (?, 50.0)",
+            &[Value::from(user)],
+        )
+        .unwrap();
+    }
+    let mut stamps = Vec::new();
+    for txn_id in 1..=4u64 {
+        let request = side_request(txn_id, txn_id % 2 == 1);
+        match committer {
+            Some(c) => {
+                assert_eq!(c.commit(&request).unwrap(), CommitOutcome::Committed);
+                stamps.push((2, txn_id));
+            }
+            None => {
+                conn.begin().unwrap();
+                for entry in &request.entries {
+                    let EntryKind::Update { after, .. } = &entry.kind else {
+                        unreachable!("side requests only update")
+                    };
+                    conn.execute(
+                        "UPDATE account SET balance = ? WHERE userid = ?",
+                        &[after.get("balance").unwrap().clone(), entry.key.clone()],
+                    )
+                    .unwrap();
+                }
+                conn.commit().unwrap();
+            }
+        }
+    }
+    assert!(
+        db.wal_stats().checkpoints >= 1,
+        "warm-up took no periodic checkpoint"
+    );
+    stamps
+}
+
+fn run_crash_point_cell(key: &str, point: CrashPoint, warm: bool) {
     let db = seeded_two_account_db();
     db.attach_wal();
     let durable = is_durable(point);
-    let tag = format!("{key}/{}", point.label());
+    let tag = format!(
+        "{key}/{}{}",
+        point.label(),
+        if warm { " after a checkpoint" } else { "" }
+    );
 
     match key {
         "es-rdb-cached" | "clients-ras-cached" | "es-rbes" => {
@@ -716,6 +790,11 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
                     registry(),
                 )))
             };
+            let warm_stamps = if warm {
+                warm_up(&db, Some(&committer))
+            } else {
+                Vec::new()
+            };
             let request = transfer_request();
             db.script_crash(point);
             let first = committer.commit(&request);
@@ -723,20 +802,24 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
 
             let report = db.recover().unwrap();
             committer.reseed(&report.committed);
+            // Stamps folded into a checkpoint still lead the report, in
+            // commit order.
+            let mut expected = warm_stamps;
             if durable {
                 assert_eq!(
                     balance_of(&db, "alice"),
                     90.0,
                     "{tag}: durable commit lost in recovery"
                 );
-                assert_eq!(report.committed, vec![(1, 7)], "{tag}: stamp not recovered");
+                expected.push((1, 7));
+                assert_eq!(report.committed, expected, "{tag}: stamp not recovered");
             } else {
                 assert_eq!(
                     balance_of(&db, "alice"),
                     100.0,
                     "{tag}: unflushed commit must not survive"
                 );
-                assert!(report.committed.is_empty(), "{tag}: phantom winner");
+                assert_eq!(report.committed, expected, "{tag}: phantom winner");
             }
             if point == CrashPoint::MidApply {
                 assert_eq!(report.torn_txns, 1, "{tag}: torn group commit not detected");
@@ -751,10 +834,20 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
                 CommitOutcome::Committed,
                 "{tag}: retry must report success"
             );
+            if warm {
+                // A very late retry of a pre-checkpoint commit replays: its
+                // before-images (carol 40, dave 60) no longer match, so a
+                // re-application would conflict instead.
+                assert_eq!(
+                    committer.commit(&side_request(2, false)).unwrap(),
+                    CommitOutcome::Committed,
+                    "{tag}: pre-checkpoint retry must replay"
+                );
+            }
             if let MatrixCommitter::Split(_, backend) = &committer {
                 assert_eq!(
                     backend.stats().dedup_replays,
-                    u64::from(durable),
+                    u64::from(durable) + u64::from(warm),
                     "{tag}: dedup replay count"
                 );
             }
@@ -777,6 +870,9 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
                 local = db.connect();
                 &mut local
             };
+            if warm {
+                warm_up(&db, None);
+            }
             let first = jdbc_transfer(&db, conn, Some(point));
             assert!(first.is_err(), "{tag}: commit through a crash must fail");
             let _ = conn.rollback();
@@ -802,6 +898,9 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
             // Vanilla BMP beans over the pessimistic JDBC RM: same re-read
             // retry contract as raw SQL.
             let container = vanilla_container(&db);
+            if warm {
+                warm_up(&db, None);
+            }
             db.script_crash(point);
             let first = vanilla_transfer(&container);
             assert!(first.is_err(), "{tag}: commit through a crash must fail");
@@ -822,6 +921,10 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
     // credit, and the bank total intact.
     assert_eq!(balance_of(&db, "alice"), 90.0, "{tag}: final alice");
     assert_eq!(balance_of(&db, "bob"), 38.0, "{tag}: final bob");
+    if warm {
+        assert_eq!(balance_of(&db, "carol"), 50.0, "{tag}: final carol");
+        assert_eq!(balance_of(&db, "dave"), 50.0, "{tag}: final dave");
+    }
     assert_eq!(db.lock_manager().lock_count(), 0, "{tag}: leaked locks");
     assert!(!db.is_crashed(), "{tag}: database left fenced");
 }
@@ -830,7 +933,20 @@ fn run_crash_point_cell(key: &str, point: CrashPoint) {
 fn backend_crash_at_every_commit_step_is_exactly_once_on_all_combos() {
     for key in sli_edge::arch::ARCH_KEYS {
         for point in CRASH_POINTS {
-            run_crash_point_cell(key, point);
+            run_crash_point_cell(key, point, false);
+        }
+    }
+}
+
+/// The same matrix after the log was folded into a periodic checkpoint:
+/// recovery starts from that checkpoint, still debits exactly once, and
+/// still reports the stamps the checkpoint subsumed, so a retried
+/// pre-checkpoint commit replays.
+#[test]
+fn backend_crash_after_a_periodic_checkpoint_is_exactly_once_on_all_combos() {
+    for key in sli_edge::arch::ARCH_KEYS {
+        for point in CRASH_POINTS {
+            run_crash_point_cell(key, point, true);
         }
     }
 }
@@ -936,6 +1052,229 @@ fn ddl_after_attach_wal_is_durable() {
     // And the original tables rode through the DDL-time rebase intact.
     assert_eq!(balance_of(&db, "alice"), 100.0);
     assert_eq!(balance_of(&db, "bob"), 28.0);
+}
+
+/// DDL folds the whole in-memory image into the base, so it must not run
+/// while a transaction holds a lock: an uncommitted in-place write would
+/// become durable and survive a crash its transaction never committed.
+#[test]
+fn ddl_is_refused_while_a_transaction_holds_a_lock() {
+    let db = seeded_two_account_db();
+    db.attach_wal();
+    let mut open = db.connect();
+    open.begin().unwrap();
+    open.execute(
+        "UPDATE account SET balance = 99.0 WHERE userid = 'alice'",
+        &[],
+    )
+    .unwrap();
+
+    assert_eq!(
+        db.execute_ddl("CREATE TABLE other (id INT PRIMARY KEY)"),
+        Err(DbError::LockTimeout)
+    );
+    assert!(
+        !db.table_names().contains(&"other".to_owned()),
+        "a refused DDL changed the schema"
+    );
+
+    db.crash();
+    db.recover().unwrap();
+    assert_eq!(
+        balance_of(&db, "alice"),
+        100.0,
+        "uncommitted write survived a crash"
+    );
+    // Quiescent again: the DDL goes through and is durable.
+    db.execute_ddl("CREATE TABLE other (id INT PRIMARY KEY)")
+        .unwrap();
+    db.crash();
+    db.recover().unwrap();
+    assert!(db.table_names().contains(&"other".to_owned()));
+}
+
+/// Autocommitted inserts of fresh accounts `{prefix}0..{prefix}{n}`: log
+/// traffic that touches neither alice nor bob.
+fn insert_accounts(db: &Arc<Database>, prefix: &str, n: usize) {
+    let mut conn = db.connect();
+    for i in 0..n {
+        conn.execute(
+            "INSERT INTO account (userid, balance) VALUES (?, 1.0)",
+            &[Value::from(format!("{prefix}{i}"))],
+        )
+        .unwrap();
+    }
+}
+
+/// Inserts fresh accounts until the log has outgrown its base (a periodic
+/// checkpoint is due from then on) or a checkpoint folded it.
+fn outgrow_base(db: &Arc<Database>, prefix: &str) {
+    let checkpoints = db.wal_stats().checkpoints;
+    let mut n = 0;
+    loop {
+        let stats = db.wal_stats();
+        if stats.log_bytes >= stats.base_bytes || stats.checkpoints > checkpoints {
+            return;
+        }
+        insert_accounts(db, &format!("{prefix}{n}-"), 1);
+        n += 1;
+    }
+}
+
+/// An open writing transaction blocks the periodic checkpoint, so its
+/// in-place write never reaches the base; its own commit then takes the
+/// checkpoint it held up.
+#[test]
+fn open_writer_blocks_the_periodic_checkpoint() {
+    let db = seeded_two_account_db();
+    db.attach_wal();
+    let mut open = db.connect();
+    open.begin().unwrap();
+    open.execute(
+        "UPDATE account SET balance = 99.0 WHERE userid = 'alice'",
+        &[],
+    )
+    .unwrap();
+    outgrow_base(&db, "a");
+    insert_accounts(&db, "b", 8);
+    let stats = db.wal_stats();
+    assert_eq!(
+        stats.checkpoints, 0,
+        "checkpoint taken under an open writer"
+    );
+    assert!(stats.log_bytes > stats.base_bytes);
+
+    db.crash();
+    db.recover().unwrap();
+    assert_eq!(
+        balance_of(&db, "alice"),
+        100.0,
+        "uncommitted write reached the base"
+    );
+
+    // The same again, but the writer commits: its commit finds the
+    // database quiescent and folds the log.
+    let mut open = db.connect();
+    open.begin().unwrap();
+    open.execute(
+        "UPDATE account SET balance = 99.0 WHERE userid = 'alice'",
+        &[],
+    )
+    .unwrap();
+    outgrow_base(&db, "c");
+    assert_eq!(db.wal_stats().checkpoints, 0);
+    open.commit().unwrap();
+    let stats = db.wal_stats();
+    assert_eq!(stats.checkpoints, 1, "the writer's commit must checkpoint");
+    assert_eq!(stats.log_bytes, 0);
+    db.crash();
+    db.recover().unwrap();
+    assert_eq!(balance_of(&db, "alice"), 99.0);
+}
+
+/// A checkpoint may capture only what recovery would rebuild: once a flush
+/// was dropped, no checkpoint runs until recovery re-bases the log, so
+/// the lost commit stays lost instead of being laundered into the base.
+#[test]
+fn dropped_flush_is_never_checkpointed() {
+    let db = seeded_two_account_db();
+    db.attach_wal();
+    outgrow_base(&db, "a");
+    assert_eq!(db.wal_stats().checkpoints, 1);
+
+    db.set_wal_drop_flush(true);
+    let mut conn = db.connect();
+    conn.execute(
+        "UPDATE account SET balance = 50.0 WHERE userid = 'alice'",
+        &[],
+    )
+    .unwrap();
+    db.set_wal_drop_flush(false);
+    outgrow_base(&db, "b");
+    insert_accounts(&db, "c", 8);
+    let stats = db.wal_stats();
+    assert_eq!(stats.checkpoints, 1, "a dishonest state was checkpointed");
+    assert!(stats.log_bytes > stats.base_bytes);
+
+    db.crash();
+    db.recover().unwrap();
+    assert_eq!(
+        balance_of(&db, "alice"),
+        100.0,
+        "the dropped commit became durable"
+    );
+    // Recovery re-based on honest state: checkpoints resume.
+    outgrow_base(&db, "d");
+    assert_eq!(db.wal_stats().checkpoints, 2);
+}
+
+/// The log bound on the benchmark's write-heavy shape: two ES/RDB cached
+/// edges interleaved one interaction at a time. After every interaction
+/// the durable log is within one base plus the largest transaction's
+/// records, periodic checkpoints happened, and recovery rebuilds exactly
+/// the committed image.
+#[test]
+fn durable_log_stays_within_one_base_plus_one_transaction() {
+    use sli_edge::trade::session::{ActionMix, SessionGenerator};
+    let config = TestbedConfig {
+        edges: 2,
+        ..TestbedConfig::default()
+    };
+    let tb = Testbed::build(
+        Architecture::EsRdb(sli_edge::arch::Flavor::CachedEjb),
+        config,
+    );
+    let mix = ActionMix {
+        quote: 10,
+        home: 5,
+        portfolio: 5,
+        account: 5,
+        update: 20,
+        buy: 30,
+        sell: 25,
+    };
+    let mut clients: Vec<_> = (0..2).map(|e| VirtualClient::new(&tb, e)).collect();
+    let mut sessions: Vec<_> = (0..2u64)
+        .map(|e| SessionGenerator::new(11 + e, config.population).with_mix(mix))
+        .collect();
+    let mut largest_txn = 0u64;
+    let mut last = tb.db.wal_stats();
+    for _ in 0..160 {
+        let scripts: Vec<Vec<TradeAction>> = sessions.iter_mut().map(|g| g.session()).collect();
+        let longest = scripts.iter().map(Vec::len).max().unwrap_or(0);
+        for step in 0..longest {
+            for (edge, script) in scripts.iter().enumerate() {
+                let Some(action) = script.get(step) else {
+                    continue;
+                };
+                assert_eq!(clients[edge].perform(action).status, 200);
+                let now = tb.db.wal_stats();
+                // One interaction's flushed bytes bound each of its
+                // transactions' records from above.
+                largest_txn = largest_txn.max(now.flushed_bytes - last.flushed_bytes);
+                assert!(
+                    now.log_bytes <= now.base_bytes + largest_txn,
+                    "log {} B outgrew base {} B + largest transaction {} B",
+                    now.log_bytes,
+                    now.base_bytes,
+                    largest_txn
+                );
+                last = now;
+            }
+        }
+    }
+    assert!(
+        last.checkpoints > 0,
+        "no periodic checkpoint in 320 sessions"
+    );
+    let image = tb.db.checkpoint();
+    tb.crash(CrashKind::Backend);
+    tb.restart(CrashKind::Backend).unwrap();
+    assert_eq!(
+        tb.db.checkpoint(),
+        image,
+        "recovery diverged from the committed image"
+    );
 }
 
 /// The seeded determinism pin: on every architecture × flavor combination,
