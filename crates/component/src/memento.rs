@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use sli_simnet::wire::{DecodeError, Reader, Writer};
+use sli_simnet::wire::{self, DecodeError, Reader, Writer};
 
 use sli_datastore::{Schema, Value};
 
@@ -131,7 +131,7 @@ impl Memento {
     /// objects, whose wire form carries this metadata with every instance.
     pub fn encode(&self, w: &mut Writer) {
         let image = &*self.0;
-        w.put_str(&format!("{CLASS_PREFIX}{}{CLASS_SUFFIX}", image.bean));
+        w.put_str_parts(&[CLASS_PREFIX, &image.bean, CLASS_SUFFIX]);
         w.put_u64(SERIAL_VERSION_UID);
         w.put_str(&image.bean);
         image.key.encode(w);
@@ -147,7 +147,9 @@ impl Memento {
     /// # Errors
     /// Returns [`DecodeError`] on truncation.
     pub fn decode(r: &mut Reader) -> Result<Memento, DecodeError> {
-        let class = r.get_str()?;
+        // The descriptor is checked in place, as a view into the frame.
+        let class = r.get_bytes()?;
+        let class = wire::utf8(&class)?;
         let _uid = r.get_u64()?;
         let bean = r.get_str()?;
         if !class

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use sli_component::{EjbError, EjbResult, Memento};
 use sli_datastore::{Predicate, SqlConnection, Value};
-use sli_simnet::wire::{frame, frame_traced, protocol, unframe, DecodeError, Reader, Writer};
+use sli_simnet::wire::{self, protocol, unframe, DecodeError, Reader, Writer};
 use sli_simnet::{CallError, Clock, Remote, Service, SimDuration};
 
 use sli_telemetry::{HistoryLog, Registry, SpanOutcome, Timeline, Tracer};
@@ -25,7 +25,7 @@ use crate::committer::{
 };
 use crate::registry::MetaRegistry;
 use crate::source::StateSource;
-use crate::store::encode_invalidations;
+use crate::store::invalidation_frame;
 
 const OP_FETCH: u8 = 1;
 const OP_QUERY: u8 = 2;
@@ -235,12 +235,7 @@ impl BackendServer {
                 .map(CommitTracer::current_trace_id)
                 .unwrap_or(0);
             let written = request.written_keys();
-            let message = frame_traced(
-                protocol::BACKEND,
-                0,
-                trace_id,
-                &encode_invalidations(&written),
-            );
+            let message = invalidation_frame(&written, trace_id);
             let mut notified = 0usize;
             for (edge_id, send) in self.peers.lock().iter() {
                 if *edge_id != request.origin {
@@ -294,13 +289,14 @@ impl BackendServer {
 
     fn run_op(&self, op: u8, r: &mut Reader) -> EjbResult<Writer> {
         self.clock.advance(self.cost.per_request);
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(STATUS_OK);
         match op {
             OP_FETCH => {
-                let bean = r.get_str().map_err(wire_err)?;
+                let bean = r.get_bytes().map_err(wire_err)?;
+                let bean = wire::utf8(&bean).map_err(wire_err)?;
                 let key = Value::decode(r).map_err(wire_err)?;
-                let meta = self.registry.meta(&bean)?;
+                let meta = self.registry.meta(bean)?;
                 let image = {
                     let mut conn = self.conn.lock();
                     fetch_current(conn.as_mut(), meta, &key)?
@@ -318,9 +314,10 @@ impl BackendServer {
                 Ok(w)
             }
             OP_QUERY => {
-                let bean = r.get_str().map_err(wire_err)?;
+                let bean = r.get_bytes().map_err(wire_err)?;
+                let bean = wire::utf8(&bean).map_err(wire_err)?;
                 let predicate = Predicate::decode(r).map_err(wire_err)?;
-                let meta = self.registry.meta(&bean)?;
+                let meta = self.registry.meta(bean)?;
                 let rs = self.conn.lock().execute(&meta.query_sql(&predicate), &[])?;
                 w.put_u32(rs.len() as u32);
                 for row in rs.rows() {
@@ -352,8 +349,9 @@ fn transport_err(e: CallError) -> EjbError {
     EjbError::Db(sli_datastore::DbError::Unavailable(e.to_string()))
 }
 
-fn encode_ejb_error(e: &EjbError) -> Bytes {
-    let mut w = Writer::new();
+/// The reply carrying `e`, written behind a reserved frame header.
+fn ejb_error_reply(e: &EjbError) -> Writer {
+    let mut w = Writer::framed();
     w.put_u8(STATUS_ERR).put_str(&e.to_string());
     // Preserve the variants the edge reacts to programmatically.
     w.put_u8(match e {
@@ -362,7 +360,7 @@ fn encode_ejb_error(e: &EjbError) -> Bytes {
         EjbError::NotFound { .. } => 3,
         _ => 0,
     });
-    w.finish()
+    w
 }
 
 fn decode_response(resp: Bytes) -> EjbResult<Reader> {
@@ -392,19 +390,12 @@ impl Service for BackendServer {
     fn handle(&self, request: Bytes) -> Bytes {
         let (header, payload) = match unframe(request) {
             Ok(x) => x,
-            Err(e) => return frame(protocol::BACKEND, 0, &encode_ejb_error(&wire_err(e))),
+            Err(e) => return ejb_error_reply(&wire_err(e)).finish_frame(protocol::BACKEND, 0, 0),
         };
         let mut r = Reader::new(payload);
-        let body = match self.dispatch(&mut r, header.trace_id) {
-            Ok(w) => w.finish(),
-            Err(e) => encode_ejb_error(&e),
-        };
-        frame_traced(
-            protocol::BACKEND,
-            header.correlation,
-            header.trace_id,
-            &body,
-        )
+        self.dispatch(&mut r, header.trace_id)
+            .unwrap_or_else(|e| ejb_error_reply(&e))
+            .finish_frame(protocol::BACKEND, header.correlation, header.trace_id)
     }
 }
 
@@ -424,15 +415,10 @@ impl BackendSource {
 
 impl StateSource for BackendSource {
     fn fetch(&self, bean: &str, key: &Value) -> EjbResult<Option<Memento>> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_FETCH).put_str(bean);
         key.encode(&mut w);
-        let framed = frame_traced(
-            protocol::BACKEND,
-            0,
-            self.remote.current_trace_id(),
-            &w.finish(),
-        );
+        let framed = w.finish_frame(protocol::BACKEND, 0, self.remote.current_trace_id());
         let resp = self.remote.call(framed).map_err(transport_err)?;
         let mut r = decode_response(resp)?;
         if r.get_bool().map_err(wire_err)? {
@@ -443,18 +429,18 @@ impl StateSource for BackendSource {
     }
 
     fn query(&self, bean: &str, predicate: &Predicate) -> EjbResult<Vec<Memento>> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_QUERY).put_str(bean);
         predicate.encode(&mut w);
-        let framed = frame_traced(
-            protocol::BACKEND,
-            0,
-            self.remote.current_trace_id(),
-            &w.finish(),
-        );
+        let framed = w.finish_frame(protocol::BACKEND, 0, self.remote.current_trace_id());
         let resp = self.remote.call(framed).map_err(transport_err)?;
         let mut r = decode_response(resp)?;
         let n = r.get_u32().map_err(wire_err)? as usize;
+        // An encoded memento takes at least its class descriptor's and
+        // bean name's length prefixes.
+        if n > r.remaining() / 8 {
+            return Err(wire_err(DecodeError::new("query image count")));
+        }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(Memento::decode(&mut r).map_err(wire_err)?);
@@ -484,15 +470,10 @@ impl SplitCommitter {
 
 impl Committer for SplitCommitter {
     fn commit(&self, request: &CommitRequest) -> EjbResult<CommitOutcome> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_COMMIT);
-        w.put_frame(&request.encode());
-        let framed = frame_traced(
-            protocol::BACKEND,
-            0,
-            self.remote.current_trace_id(),
-            &w.finish(),
-        );
+        w.put_frame_with(|w| request.encode_into(w));
+        let framed = w.finish_frame(protocol::BACKEND, 0, self.remote.current_trace_id());
         // Retries resend identical bytes — same (origin, txn_id) — so the
         // backend's replay table keeps the commit idempotent.
         let resp = self.remote.call(framed).map_err(transport_err)?;

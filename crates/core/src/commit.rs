@@ -154,23 +154,28 @@ impl CommitRequest {
     /// Encodes the request to a wire frame.
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Encodes the request onto `w`, in place.
+    pub fn encode_into(&self, w: &mut Writer) {
         w.put_u32(self.origin);
         w.put_u64(self.txn_id);
         w.put_u32(self.entries.len() as u32);
         for e in &self.entries {
             w.put_str(&e.bean);
-            e.key.encode(&mut w);
+            e.key.encode(w);
             w.put_u8(e.kind.tag());
             match &e.kind {
-                EntryKind::Read { before } | EntryKind::Remove { before } => before.encode(&mut w),
+                EntryKind::Read { before } | EntryKind::Remove { before } => before.encode(w),
                 EntryKind::Update { before, after } => {
-                    before.encode(&mut w);
-                    after.encode(&mut w);
+                    before.encode(w);
+                    after.encode(w);
                 }
-                EntryKind::Create { after } => after.encode(&mut w),
+                EntryKind::Create { after } => after.encode(w),
             }
         }
-        w.finish()
     }
 
     /// Decodes a request from a wire frame.
@@ -181,6 +186,11 @@ impl CommitRequest {
         let origin = r.get_u32()?;
         let txn_id = r.get_u64()?;
         let n = r.get_u32()? as usize;
+        // An entry takes at least its bean's length prefix, a key tag and
+        // an entry tag.
+        if n > r.remaining() / 6 {
+            return Err(DecodeError::new("commit entry count"));
+        }
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let bean = r.get_str()?;
@@ -361,6 +371,13 @@ mod tests {
             }
             other => panic!("wrong kind: {other:?}"),
         }
+    }
+
+    #[test]
+    fn hostile_entry_count_is_an_error_not_an_abort() {
+        let mut w = Writer::new();
+        w.put_u32(1).put_u64(2).put_u32(u32::MAX);
+        assert!(CommitRequest::decode(&mut Reader::new(w.finish())).is_err());
     }
 
     #[test]

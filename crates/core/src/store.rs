@@ -7,7 +7,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use sli_component::{BeanMap, Memento};
 use sli_datastore::Value;
-use sli_simnet::wire::{Reader, Writer};
+use sli_simnet::wire::{protocol, Reader, Writer};
 use sli_simnet::Service;
 use sli_telemetry::{Counter, Gauge, Registry, Timeline};
 
@@ -446,16 +446,18 @@ impl CommonStore {
     }
 }
 
-/// Encodes an invalidation notification: the set of (bean, key) pairs a
-/// peer's commit made stale.
-pub(crate) fn encode_invalidations(entries: &[(String, Value)]) -> Bytes {
-    let mut w = Writer::new();
+/// Frames an invalidation notification: the set of (bean, key) pairs a
+/// peer's commit made stale, written behind the frame header in place and
+/// carrying `trace_id` so each edge's delivery can re-join the commit's
+/// trace.
+pub(crate) fn invalidation_frame(entries: &[(String, Value)], trace_id: u64) -> Bytes {
+    let mut w = Writer::framed();
     w.put_u32(entries.len() as u32);
     for (bean, key) in entries {
         w.put_str(bean);
         key.encode(&mut w);
     }
-    w.finish()
+    w.finish_frame(protocol::BACKEND, 0, trace_id)
 }
 
 /// The edge-side endpoint for invalidation notifications.
@@ -893,13 +895,12 @@ mod tests {
         store.put(image("a", 1.0));
         store.put(image("b", 2.0));
         let sink = InvalidationSink::new(Arc::clone(&store));
-        let frame = sli_simnet::wire::frame(
-            sli_simnet::wire::protocol::BACKEND,
-            0,
-            &encode_invalidations(&[
+        let frame = invalidation_frame(
+            &[
                 ("Account".to_owned(), Value::from("a")),
                 ("Account".to_owned(), Value::from("missing")),
-            ]),
+            ],
+            0,
         );
         sink.handle(frame);
         assert!(store.get("Account", &Value::from("a")).is_none());
@@ -983,11 +984,7 @@ mod tests {
             Arc::clone(&clock),
             SimDuration::from_millis(40),
         );
-        let frame = sli_simnet::wire::frame(
-            sli_simnet::wire::protocol::BACKEND,
-            0,
-            &encode_invalidations(&[("Account".to_owned(), Value::from("a"))]),
-        );
+        let frame = invalidation_frame(&[("Account".to_owned(), Value::from("a"))], 0);
         sink.handle(frame);
         assert_eq!(sink.in_flight(), 1);
         // before the crossing completes, the stale image is still served
@@ -1017,13 +1014,7 @@ mod tests {
             sli_telemetry::Metric::Gauge(g) => g.get(),
             other => panic!("expected gauge, got {other:?}"),
         };
-        let frame = |key: &str| {
-            sli_simnet::wire::frame(
-                sli_simnet::wire::protocol::BACKEND,
-                0,
-                &encode_invalidations(&[("Account".to_owned(), Value::from(key))]),
-            )
-        };
+        let frame = |key: &str| invalidation_frame(&[("Account".to_owned(), Value::from(key))], 0);
         // Enqueue must raise the gauge immediately, not only on drain.
         sink.handle(frame("a"));
         assert_eq!(depth(&registry), 1);

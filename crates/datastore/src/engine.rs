@@ -101,16 +101,16 @@ impl Table {
 #[derive(Debug)]
 enum UndoRecord {
     RemoveInserted {
-        table: String,
+        table: Arc<str>,
         pk: Value,
     },
     RestoreUpdated {
-        table: String,
+        table: Arc<str>,
         pk: Value,
         old: Vec<Value>,
     },
     RestoreDeleted {
-        table: String,
+        table: Arc<str>,
         old: Vec<Value>,
     },
 }
@@ -1017,7 +1017,7 @@ impl Database {
     fn exec_insert(
         &self,
         txn: &mut TxnState,
-        table: &str,
+        table: &Arc<str>,
         columns: &[String],
         values: &[Scalar],
         params: &[Value],
@@ -1039,12 +1039,12 @@ impl Database {
 
         self.locks.acquire(
             txn.id,
-            Resource::Table(table.to_owned()),
+            Resource::Table(Arc::clone(table)),
             LockMode::IntentExclusive,
         )?;
         self.locks.acquire(
             txn.id,
-            Resource::Row(table.to_owned(), pk.clone()),
+            Resource::Row(Arc::clone(table), pk.clone()),
             LockMode::Exclusive,
         )?;
 
@@ -1055,14 +1055,14 @@ impl Database {
             }
             if self.logging.load(Ordering::Relaxed) {
                 txn.redo.push(WalOp::Insert {
-                    table: table.to_owned(),
+                    table: table.to_string(),
                     row: row.clone(),
                 });
             }
             t.insert_row(row);
         }
         txn.undo.push(UndoRecord::RemoveInserted {
-            table: table.to_owned(),
+            table: Arc::clone(table),
             pk,
         });
         self.trace.record(table, OpKind::Create);
@@ -1080,7 +1080,7 @@ impl Database {
     fn plan_matches(
         &self,
         txn: &mut TxnState,
-        table: &str,
+        table: &Arc<str>,
         predicate: &Predicate,
         for_write: bool,
         plan: &CachedPlan,
@@ -1114,10 +1114,10 @@ impl Database {
                     plan.record(epoch, AccessPath::PkPoint);
                 }
                 self.locks
-                    .acquire(txn.id, Resource::Table(table.to_owned()), intent_mode)?;
+                    .acquire(txn.id, Resource::Table(Arc::clone(table)), intent_mode)?;
                 self.locks.acquire(
                     txn.id,
-                    Resource::Row(table.to_owned(), pk.clone()),
+                    Resource::Row(Arc::clone(table), pk.clone()),
                     row_mode,
                 )?;
                 let t = t.read();
@@ -1147,7 +1147,7 @@ impl Database {
                 plan.record(epoch, AccessPath::Index(col.clone()));
             }
             self.locks
-                .acquire(txn.id, Resource::Table(table.to_owned()), intent_mode)?;
+                .acquire(txn.id, Resource::Table(Arc::clone(table)), intent_mode)?;
             let candidates: Vec<Value> = {
                 let t = t.read();
                 let key = predicate
@@ -1163,7 +1163,7 @@ impl Database {
             for pk in candidates {
                 self.locks.acquire(
                     txn.id,
-                    Resource::Row(table.to_owned(), pk.clone()),
+                    Resource::Row(Arc::clone(table), pk.clone()),
                     row_mode,
                 )?;
                 let t = t.read();
@@ -1181,11 +1181,11 @@ impl Database {
             plan.record(epoch, AccessPath::Scan);
         }
         self.locks
-            .acquire(txn.id, Resource::Table(table.to_owned()), LockMode::Shared)?;
+            .acquire(txn.id, Resource::Table(Arc::clone(table)), LockMode::Shared)?;
         if for_write {
             self.locks.acquire(
                 txn.id,
-                Resource::Table(table.to_owned()),
+                Resource::Table(Arc::clone(table)),
                 LockMode::IntentExclusive,
             )?;
         }
@@ -1201,7 +1201,7 @@ impl Database {
             for pk in &out {
                 self.locks.acquire(
                     txn.id,
-                    Resource::Row(table.to_owned(), pk.clone()),
+                    Resource::Row(Arc::clone(table), pk.clone()),
                     LockMode::Exclusive,
                 )?;
             }
@@ -1214,7 +1214,7 @@ impl Database {
         &self,
         txn: &mut TxnState,
         list: &SelectList,
-        table: &str,
+        table: &Arc<str>,
         predicate: &Predicate,
         order_by: Option<&(String, bool)>,
         limit: Option<usize>,
@@ -1228,10 +1228,9 @@ impl Database {
         let schema = &t.schema;
         self.trace.record(table, OpKind::Read);
 
-        let mut rows: Vec<Vec<Value>> = pks
-            .iter()
-            .filter_map(|pk| t.rows.get(pk).cloned())
-            .collect();
+        // Order and cap the matching rows by reference; only what the
+        // projection returns is copied, once.
+        let mut rows: Vec<&Vec<Value>> = pks.iter().filter_map(|pk| t.rows.get(pk)).collect();
 
         if let Some((col, desc)) = order_by {
             let ci = schema.column_index(col)?;
@@ -1308,10 +1307,10 @@ impl Database {
                     vec![vec![result]],
                 ))
             }
-            SelectList::Star => {
-                let cols = schema.columns().iter().map(|c| c.name.clone()).collect();
-                Ok(ResultSet::with_rows(cols, rows))
-            }
+            SelectList::Star => Ok(ResultSet::with_rows(
+                Arc::clone(schema.column_names()),
+                rows.into_iter().cloned().collect(),
+            )),
             SelectList::Columns(cols) => {
                 let indices: Vec<usize> = cols
                     .iter()
@@ -1321,7 +1320,7 @@ impl Database {
                     .into_iter()
                     .map(|row| indices.iter().map(|&i| row[i].clone()).collect())
                     .collect();
-                Ok(ResultSet::with_rows(cols.clone(), projected))
+                Ok(ResultSet::with_rows(Arc::clone(cols), projected))
             }
         }
     }
@@ -1329,7 +1328,7 @@ impl Database {
     fn exec_update(
         &self,
         txn: &mut TxnState,
-        table: &str,
+        table: &Arc<str>,
         sets: &[(String, Scalar)],
         predicate: &Predicate,
         params: &[Value],
@@ -1378,7 +1377,7 @@ impl Database {
                 t.remove_row(pk);
                 if self.logging.load(Ordering::Relaxed) {
                     txn.redo.push(WalOp::Update {
-                        table: table.to_owned(),
+                        table: table.to_string(),
                         pk: pk.clone(),
                         old: old.clone(),
                         new: new_row.clone(),
@@ -1386,7 +1385,7 @@ impl Database {
                 }
                 t.insert_row(new_row);
                 txn.undo.push(UndoRecord::RestoreUpdated {
-                    table: table.to_owned(),
+                    table: Arc::clone(table),
                     pk: pk.clone(),
                     old,
                 });
@@ -1400,7 +1399,7 @@ impl Database {
     fn exec_delete(
         &self,
         txn: &mut TxnState,
-        table: &str,
+        table: &Arc<str>,
         predicate: &Predicate,
         params: &[Value],
         plan: &CachedPlan,
@@ -1415,12 +1414,12 @@ impl Database {
                 if let Some(old) = t.remove_row(pk) {
                     if self.logging.load(Ordering::Relaxed) {
                         txn.redo.push(WalOp::Delete {
-                            table: table.to_owned(),
+                            table: table.to_string(),
                             old: old.clone(),
                         });
                     }
                     txn.undo.push(UndoRecord::RestoreDeleted {
-                        table: table.to_owned(),
+                        table: Arc::clone(table),
                         old,
                     });
                     affected += 1;

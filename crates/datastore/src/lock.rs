@@ -8,6 +8,7 @@
 //! provides those pessimistic semantics.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -16,13 +17,15 @@ use crate::error::DbError;
 use crate::value::Value;
 use crate::DbResult;
 
-/// A lockable resource: a whole table or a single row.
+/// A lockable resource: a whole table or a single row. The table name is
+/// shared with the statement's cached plan, so naming a resource copies no
+/// text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// Table-level lock (used for intent modes and full scans).
-    Table(String),
+    Table(Arc<str>),
     /// Row-level lock, identified by table name and primary key.
-    Row(String, Value),
+    Row(Arc<str>, Value),
 }
 
 /// Multi-granularity lock modes.
@@ -138,7 +141,8 @@ impl LockManager {
     }
 
     /// Acquires (or upgrades to) `mode` on `resource` for `txn`, blocking
-    /// while incompatible locks are held by other transactions.
+    /// while incompatible locks are held by other transactions. The lock
+    /// table keeps `resource` only if it holds no entry for it yet.
     ///
     /// # Errors
     /// * [`DbError::Deadlock`] if granting would close a waits-for cycle —
@@ -148,18 +152,26 @@ impl LockManager {
     pub fn acquire(&self, txn: TxnId, resource: Resource, mode: LockMode) -> DbResult<()> {
         let mut st = self.state.lock();
         loop {
-            let holders = st.locks.entry(resource.clone()).or_default();
+            let holders = st.locks.get(&resource);
             let requested = holders
-                .get(&txn)
+                .and_then(|h| h.get(&txn))
                 .map(|held| held.combine(mode))
                 .unwrap_or(mode);
             let blockers: HashSet<TxnId> = holders
-                .iter()
+                .into_iter()
+                .flatten()
                 .filter(|(id, held)| **id != txn && !requested.compatible(**held))
                 .map(|(id, _)| *id)
                 .collect();
             if blockers.is_empty() {
-                holders.insert(txn, requested);
+                match st.locks.get_mut(&resource) {
+                    Some(holders) => {
+                        holders.insert(txn, requested);
+                    }
+                    None => {
+                        st.locks.insert(resource, HashMap::from([(txn, requested)]));
+                    }
+                }
                 st.waits_for.remove(&txn);
                 return Ok(());
             }

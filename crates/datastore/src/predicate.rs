@@ -17,6 +17,11 @@ use crate::schema::Schema;
 use crate::value::Value;
 use crate::DbResult;
 
+/// The deepest predicate nesting [`Predicate::decode`] accepts. Finder
+/// predicates nest a few levels; the cap keeps a hostile frame of nested
+/// `NOT`s from overflowing the decoder's stack.
+pub const MAX_PREDICATE_DEPTH: usize = 128;
+
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
@@ -417,8 +422,18 @@ impl Predicate {
     /// Decodes a predicate from a wire frame.
     ///
     /// # Errors
-    /// Returns [`DecodeError`] on truncation or unknown tags.
+    /// Returns [`DecodeError`] on truncation, unknown tags, nesting deeper
+    /// than [`MAX_PREDICATE_DEPTH`], or an `IN` list longer than the frame
+    /// can hold.
     pub fn decode(r: &mut Reader) -> Result<Predicate, DecodeError> {
+        Predicate::decode_nested(r, 0)
+    }
+
+    fn decode_nested(r: &mut Reader, depth: usize) -> Result<Predicate, DecodeError> {
+        if depth >= MAX_PREDICATE_DEPTH {
+            return Err(DecodeError::new("predicate nesting depth"));
+        }
+        let sub = |r: &mut Reader| Predicate::decode_nested(r, depth + 1).map(Box::new);
         Ok(match r.get_u8()? {
             0 => Predicate::True,
             1 => Predicate::Cmp {
@@ -441,22 +456,19 @@ impl Predicate {
             5 => Predicate::IsNotNull {
                 column: r.get_str()?,
             },
-            6 => Predicate::And(
-                Box::new(Predicate::decode(r)?),
-                Box::new(Predicate::decode(r)?),
-            ),
-            7 => Predicate::Or(
-                Box::new(Predicate::decode(r)?),
-                Box::new(Predicate::decode(r)?),
-            ),
-            8 => Predicate::Not(Box::new(Predicate::decode(r)?)),
+            6 => Predicate::And(sub(r)?, sub(r)?),
+            7 => Predicate::Or(sub(r)?, sub(r)?),
+            8 => Predicate::Not(sub(r)?),
             9 => {
                 let column = r.get_str()?;
                 let n = r.get_u32()? as usize;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(Value::decode(r)?);
+                // Every value takes at least its one-byte tag.
+                if n > r.remaining() {
+                    return Err(DecodeError::new("IN list length"));
                 }
+                let values = (0..n)
+                    .map(|_| Value::decode(r))
+                    .collect::<Result<Vec<_>, _>>()?;
                 Predicate::In { column, values }
             }
             10 => Predicate::Between {
@@ -522,6 +534,7 @@ fn like_rec(p: &[char], t: &[char]) -> bool {
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType};
+    use bytes::Bytes;
 
     fn schema() -> Schema {
         Schema::new(
@@ -776,6 +789,95 @@ mod tests {
         p.encode(&mut w);
         let mut r = Reader::new(w.finish());
         assert_eq!(Predicate::decode(&mut r).unwrap(), p);
+    }
+
+    /// A valid predicate of every node kind, shaped by `seed`.
+    fn seeded_predicate(seed: u64) -> Predicate {
+        let v = |n: u64| match (seed + n) % 3 {
+            0 => Value::from((seed * 7 + n) as i64),
+            1 => Value::from(format!("uid:{}", seed % 97 + n)),
+            _ => Value::from((seed % 13) as f64 / 4.0),
+        };
+        let leaf = Predicate::In {
+            column: "owner".into(),
+            values: (0..seed % 5).map(v).collect(),
+        }
+        .or(Predicate::CmpParam {
+            column: "qty".into(),
+            op: CmpOp::Le,
+            index: (seed % 3) as usize,
+        });
+        let mut p = Predicate::cmp("qty", CmpOp::Gt, v(1)).and(leaf);
+        for depth in 0..seed % 4 {
+            p = Predicate::Not(Box::new(p)).or(Predicate::Between {
+                column: "qty".into(),
+                low: v(depth),
+                high: v(depth + 1),
+            });
+        }
+        p.and(Predicate::Like {
+            column: "note".into(),
+            pattern: "a%".into(),
+        })
+        .and(Predicate::IsNotNull {
+            column: "note".into(),
+        })
+    }
+
+    /// The regression: 200 000 nested `NOT` tags used to recurse once per
+    /// tag and overflow the decoder's stack.
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let mut w = Writer::new();
+        for _ in 0..200_000 {
+            w.put_u8(8);
+        }
+        w.put_u8(0);
+        let frame = w.finish();
+        assert_eq!(frame.len(), 200_001);
+        assert!(Predicate::decode(&mut Reader::new(frame)).is_err());
+
+        let mut nested = Predicate::True;
+        for _ in 0..MAX_PREDICATE_DEPTH - 1 {
+            nested = Predicate::Not(Box::new(nested));
+        }
+        let mut w = Writer::new();
+        nested.encode(&mut w);
+        let decoded = Predicate::decode(&mut Reader::new(w.finish()));
+        assert_eq!(decoded.unwrap(), nested, "the deepest accepted nesting");
+    }
+
+    #[test]
+    fn hostile_in_list_length_is_an_error_not_an_abort() {
+        let mut w = Writer::new();
+        w.put_u8(9).put_str("owner").put_u32(u32::MAX);
+        assert!(Predicate::decode(&mut Reader::new(w.finish())).is_err());
+    }
+
+    #[test]
+    fn mutated_predicates_never_panic() {
+        let mut errors = 0;
+        for seed in 0..10_000u64 {
+            let p = seeded_predicate(seed);
+            let mut w = Writer::new();
+            p.encode(&mut w);
+            let frame = w.finish();
+            assert_eq!(
+                Predicate::decode(&mut Reader::new(frame.clone())).unwrap(),
+                p
+            );
+            let (mutant, prefix) = crate::wal::tests::mutate(&frame, seed);
+            let decoded = Predicate::decode(&mut Reader::new(Bytes::from(mutant)));
+            assert!(
+                !prefix || decoded.is_err(),
+                "seed {seed}: a strict prefix decoded"
+            );
+            errors += usize::from(decoded.is_err());
+        }
+        assert!(
+            errors > 5_000,
+            "only {errors} of 10000 mutants were rejected"
+        );
     }
 
     #[test]

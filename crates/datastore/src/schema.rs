@@ -1,6 +1,7 @@
 //! Table schemas: typed columns, primary keys, index declarations.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::DbError;
 use crate::value::Value;
@@ -79,6 +80,9 @@ impl Column {
 pub struct Schema {
     name: String,
     columns: Vec<Column>,
+    /// The column names, built once and shared by every `SELECT *`
+    /// result over the table.
+    names: Arc<[String]>,
     pk_index: usize,
 }
 
@@ -98,9 +102,11 @@ impl Schema {
             .iter()
             .position(|c| c.name == pk)
             .ok_or_else(|| DbError::NoSuchColumn(pk.to_owned()))?;
+        let names = columns.iter().map(|c| c.name.clone()).collect();
         Ok(Schema {
             name,
             columns,
+            names,
             pk_index,
         })
     }
@@ -113,6 +119,11 @@ impl Schema {
     /// The ordered column declarations.
     pub fn columns(&self) -> &[Column] {
         &self.columns
+    }
+
+    /// The column names in order, shared.
+    pub fn column_names(&self) -> &Arc<[String]> {
+        &self.names
     }
 
     /// Index of the primary-key column.

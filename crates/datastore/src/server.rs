@@ -14,14 +14,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sli_simnet::wire::{frame, frame_traced, protocol, unframe, DecodeError, Reader, Writer};
+use sli_simnet::wire::{self, protocol, unframe, DecodeError, Reader, Writer};
 use sli_simnet::{scale_cost_us, Clock, Remote, Service, SimDuration, COST_SCALE_UNIT};
 use sli_telemetry::{Counter, Histogram, Registry, SpanDetail, SpanOutcome, Tracer};
 
 use crate::connection::Connection;
 use crate::engine::{Database, PLAN_CACHE_CAPACITY};
 use crate::error::DbError;
-use crate::result::ResultSet;
+use crate::result::{ColumnCache, ResultSet, MIN_RESULT_SET_BYTES};
 use crate::trace::statement_class;
 use crate::value::Value;
 use crate::{BatchOutcome, BatchStatement, DbResult, SqlConnection};
@@ -314,9 +314,7 @@ impl DbServer {
     }
 
     fn dispatch(&self, request: &mut Reader, wire_trace_id: u64) -> DbResult<Writer> {
-        let op = request
-            .get_u8()
-            .map_err(|e| DbError::Remote(e.to_string()))?;
+        let op = request.get_u8().map_err(remote_err)?;
         let span_op = match op {
             OP_OPEN => "db.open",
             OP_CLOSE => "db.close",
@@ -369,7 +367,7 @@ impl DbServer {
         class: &mut Option<Arc<str>>,
     ) -> DbResult<Writer> {
         let per_request_us = self.charge(self.cost.per_request);
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(STATUS_OK);
         // DRDA-style SQL communications area: SQLSTATE, SQLCODE, warning
         // flags and message tokens accompany every reply on the real wire.
@@ -382,16 +380,12 @@ impl DbServer {
                 Ok(w)
             }
             OP_CLOSE => {
-                let session = request
-                    .get_u64()
-                    .map_err(|e| DbError::Remote(e.to_string()))?;
+                let session = request.get_u64().map_err(remote_err)?;
                 self.sessions.lock().remove(&session);
                 Ok(w)
             }
             OP_BEGIN | OP_EXEC | OP_EXEC_BATCH | OP_COMMIT | OP_ROLLBACK => {
-                let session = request
-                    .get_u64()
-                    .map_err(|e| DbError::Remote(e.to_string()))?;
+                let session = request.get_u64().map_err(remote_err)?;
                 let mut sessions = self.sessions.lock();
                 let conn = sessions
                     .get_mut(&session)
@@ -411,56 +405,25 @@ impl DbServer {
                         other => other?,
                     },
                     OP_EXEC => {
-                        let _package = request
-                            .get_str()
-                            .map_err(|e| DbError::Remote(e.to_string()))?;
-                        let sql = request
-                            .get_str()
-                            .map_err(|e| DbError::Remote(e.to_string()))?;
-                        let n = request
-                            .get_u32()
-                            .map_err(|e| DbError::Remote(e.to_string()))?
-                            as usize;
-                        let mut params = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            params.push(
-                                Value::decode(request)
-                                    .map_err(|e| DbError::Remote(e.to_string()))?,
-                            );
-                        }
+                        let (sql, params) = decode_statement(request).map_err(remote_err)?;
+                        let sql = wire::utf8(&sql).map_err(remote_err)?;
                         Self::read_stamp(request, conn);
-                        *class = Some(self.classes.lock().statement(&sql));
-                        let rs = conn.execute(&sql, &params)?;
+                        *class = Some(self.classes.lock().statement(sql));
+                        let rs = conn.execute(sql, &params)?;
                         let row_us = self.charge(self.cost.per_row.saturating_mul(rs.len() as u64));
                         self.metrics.statements.inc();
                         self.metrics.statement_us.record(per_request_us + row_us);
                         rs.encode(&mut w);
                     }
                     OP_EXEC_BATCH => {
-                        let count = request
-                            .get_u32()
-                            .map_err(|e| DbError::Remote(e.to_string()))?
-                            as usize;
+                        let count = request.get_u32().map_err(remote_err)? as usize;
+                        // Each statement takes at least MIN_STATEMENT_BYTES.
+                        if count > request.remaining() / MIN_STATEMENT_BYTES {
+                            return Err(remote_err(DecodeError::new("batch statement count")));
+                        }
                         let mut stmts = Vec::with_capacity(count);
                         for _ in 0..count {
-                            let _package = request
-                                .get_str()
-                                .map_err(|e| DbError::Remote(e.to_string()))?;
-                            let sql = request
-                                .get_str()
-                                .map_err(|e| DbError::Remote(e.to_string()))?;
-                            let n = request
-                                .get_u32()
-                                .map_err(|e| DbError::Remote(e.to_string()))?
-                                as usize;
-                            let mut params = Vec::with_capacity(n);
-                            for _ in 0..n {
-                                params.push(
-                                    Value::decode(request)
-                                        .map_err(|e| DbError::Remote(e.to_string()))?,
-                                );
-                            }
-                            stmts.push((sql, params));
+                            stmts.push(decode_statement(request).map_err(remote_err)?);
                         }
                         Self::read_stamp(request, conn);
                         *class = Some(self.classes.lock().batch(count));
@@ -472,7 +435,7 @@ impl DbServer {
                         let mut results: Vec<ResultSet> = Vec::with_capacity(count);
                         let mut first_err: Option<DbError> = None;
                         for (sql, params) in &stmts {
-                            match conn.execute(sql, params) {
+                            match conn.execute(wire::utf8(sql).map_err(remote_err)?, params) {
                                 Ok(rs) => {
                                     total_us += self
                                         .charge(self.cost.per_row.saturating_mul(rs.len() as u64));
@@ -509,29 +472,53 @@ impl DbServer {
     }
 }
 
+/// The reply carrying `e`, written behind a reserved frame header.
+fn error_reply(e: &DbError) -> Writer {
+    let mut w = Writer::framed();
+    w.put_u8(STATUS_ERR);
+    encode_db_error(&mut w, e);
+    w
+}
+
 impl Service for DbServer {
     fn handle(&self, request: Bytes) -> Bytes {
         let (header, payload) = match unframe(request) {
             Ok(x) => x,
             Err(e) => {
-                let mut w = Writer::new();
-                w.put_u8(STATUS_ERR);
-                encode_db_error(&mut w, &DbError::Remote(e.to_string()));
-                return frame(protocol::JDBC, 0, &w.finish());
+                return error_reply(&remote_err(e)).finish_frame(protocol::JDBC, 0, 0);
             }
         };
         let mut reader = Reader::new(payload);
-        let body = match self.dispatch(&mut reader, header.trace_id) {
-            Ok(w) => w.finish(),
-            Err(e) => {
-                let mut w = Writer::new();
-                w.put_u8(STATUS_ERR);
-                encode_db_error(&mut w, &e);
-                w.finish()
-            }
-        };
-        frame_traced(protocol::JDBC, header.correlation, header.trace_id, &body)
+        self.dispatch(&mut reader, header.trace_id)
+            .unwrap_or_else(|e| error_reply(&e))
+            .finish_frame(protocol::JDBC, header.correlation, header.trace_id)
     }
+}
+
+fn remote_err(e: DecodeError) -> DbError {
+    DbError::Remote(e.to_string())
+}
+
+/// The fewest bytes one statement of a request takes: the package id's
+/// and the SQL text's length prefixes plus the parameter count.
+const MIN_STATEMENT_BYTES: usize = 12;
+
+/// Decodes one statement of an `OP_EXEC`/`OP_EXEC_BATCH` request. The
+/// package id is only checked and the SQL text stays a view into the
+/// frame; the parameter count is checked against the bytes left (every
+/// value takes at least one) before anything is allocated.
+fn decode_statement(r: &mut Reader) -> Result<(Bytes, Vec<Value>), DecodeError> {
+    r.get_str_ref()?; // DRDA package id
+    let sql = r.get_bytes()?;
+    wire::utf8(&sql)?;
+    let n = r.get_u32()? as usize;
+    if n > r.remaining() {
+        return Err(DecodeError::new("statement parameter count"));
+    }
+    let params = (0..n)
+        .map(|_| Value::decode(r))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((sql, params))
 }
 
 /// A JDBC-style connection reached across a simulated network path.
@@ -554,6 +541,7 @@ pub struct RemoteConnection {
     /// record it in the WAL commit record.
     pending_stamp: Option<(u32, u64)>,
     correlation: std::sync::atomic::AtomicU64,
+    columns: ColumnCache,
 }
 
 impl RemoteConnection {
@@ -562,19 +550,19 @@ impl RemoteConnection {
     /// # Errors
     /// Fails if the server rejects the open or the response is malformed.
     pub fn open(remote: Remote<Arc<DbServer>>) -> DbResult<RemoteConnection> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_OPEN);
         // OP_OPEN allocates a server-side session, so blind resends would
         // leak sessions: one attempt only, like every other JDBC exchange.
-        let framed = frame_traced(protocol::JDBC, 0, remote.current_trace_id(), &w.finish());
+        let framed = w.finish_frame(protocol::JDBC, 0, remote.current_trace_id());
         let resp = remote
             .call_once(framed)
             .map_err(|e| DbError::Unavailable(e.to_string()))?;
         let mut r = Self::open_response(resp)?;
-        match r.get_u8().map_err(|e| DbError::Remote(e.to_string()))? {
+        match r.get_u8().map_err(remote_err)? {
             STATUS_OK => {
-                r.get_bytes().map_err(|e| DbError::Remote(e.to_string()))?; // SQLCA
-                let session = r.get_u64().map_err(|e| DbError::Remote(e.to_string()))?;
+                r.get_bytes().map_err(remote_err)?; // SQLCA
+                let session = r.get_u64().map_err(remote_err)?;
                 Ok(RemoteConnection {
                     remote,
                     session,
@@ -582,14 +570,15 @@ impl RemoteConnection {
                     batching: true,
                     pending_stamp: None,
                     correlation: std::sync::atomic::AtomicU64::new(1),
+                    columns: ColumnCache::default(),
                 })
             }
-            _ => Err(decode_db_error(&mut r).unwrap_or_else(|e| DbError::Remote(e.to_string()))),
+            _ => Err(decode_db_error(&mut r).unwrap_or_else(remote_err)),
         }
     }
 
     fn open_response(resp: Bytes) -> DbResult<Reader> {
-        let (_, payload) = unframe(resp).map_err(|e| DbError::Remote(e.to_string()))?;
+        let (_, payload) = unframe(resp).map_err(remote_err)?;
         Ok(Reader::new(payload))
     }
 
@@ -598,12 +587,13 @@ impl RemoteConnection {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// Sends a request written into a [`Writer::framed`] writer and
+    /// returns the reply past its status and SQLCA.
     fn exchange(&self, w: Writer) -> DbResult<Reader> {
-        let framed = frame_traced(
+        let framed = w.finish_frame(
             protocol::JDBC,
             self.next_correlation(),
             self.remote.current_trace_id(),
-            &w.finish(),
         );
         // A JDBC statement is not idempotent (an INSERT resent after a lost
         // response would run twice), so the transport must not retry: a
@@ -613,19 +603,19 @@ impl RemoteConnection {
             .remote
             .call_once(framed)
             .map_err(|e| DbError::Unavailable(e.to_string()))?;
-        let (_, payload) = unframe(resp).map_err(|e| DbError::Remote(e.to_string()))?;
+        let (_, payload) = unframe(resp).map_err(remote_err)?;
         let mut r = Reader::new(payload);
-        match r.get_u8().map_err(|e| DbError::Remote(e.to_string()))? {
+        match r.get_u8().map_err(remote_err)? {
             STATUS_OK => {
-                r.get_bytes().map_err(|e| DbError::Remote(e.to_string()))?; // SQLCA
+                r.get_bytes().map_err(remote_err)?; // SQLCA
                 Ok(r)
             }
-            _ => Err(decode_db_error(&mut r).unwrap_or_else(|e| DbError::Remote(e.to_string()))),
+            _ => Err(decode_db_error(&mut r).unwrap_or_else(remote_err)),
         }
     }
 
     fn simple_call(&self, op: u8) -> DbResult<()> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(op).put_u64(self.session);
         self.exchange(w)?;
         Ok(())
@@ -665,7 +655,7 @@ impl SqlConnection for RemoteConnection {
     }
 
     fn execute(&mut self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_EXEC).put_u64(self.session);
         // DRDA identifies the prepared package/section alongside the text.
         w.put_str("NULLID.SYSSH200");
@@ -676,7 +666,7 @@ impl SqlConnection for RemoteConnection {
         }
         self.put_stamp(&mut w);
         let mut r = self.exchange(w)?;
-        ResultSet::decode(&mut r).map_err(|e| DbError::Remote(e.to_string()))
+        self.columns.decode(sql, &mut r).map_err(remote_err)
     }
 
     fn commit(&mut self) -> DbResult<()> {
@@ -689,7 +679,7 @@ impl SqlConnection for RemoteConnection {
         // here would wedge the connection — every later `begin` would fail
         // with AlreadyInTransaction.
         self.in_txn = false;
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_COMMIT).put_u64(self.session);
         self.put_stamp(&mut w);
         self.exchange(w)?;
@@ -751,7 +741,7 @@ impl SqlConnection for RemoteConnection {
                 error: None,
             });
         }
-        let mut w = Writer::new();
+        let mut w = Writer::framed();
         w.put_u8(OP_EXEC_BATCH).put_u64(self.session);
         w.put_u32(statements.len() as u32);
         for stmt in statements {
@@ -764,24 +754,40 @@ impl SqlConnection for RemoteConnection {
         }
         self.put_stamp(&mut w);
         let mut r = self.exchange(w)?;
-        let executed = r.get_u32().map_err(|e| DbError::Remote(e.to_string()))? as usize;
-        let mut results = Vec::with_capacity(executed);
-        for _ in 0..executed {
-            results.push(ResultSet::decode(&mut r).map_err(|e| DbError::Remote(e.to_string()))?);
-        }
-        let failed = r.get_bool().map_err(|e| DbError::Remote(e.to_string()))?;
-        let error = if failed {
-            Some(decode_db_error(&mut r).unwrap_or_else(|e| DbError::Remote(e.to_string())))
-        } else {
-            None
-        };
-        Ok(BatchOutcome { results, error })
+        decode_batch_reply(&mut r, statements, &mut self.columns)
     }
+}
+
+/// Decodes an `OP_EXEC_BATCH` reply past its status and SQLCA: the
+/// executed prefix's result sets, then the first failure, if any.
+fn decode_batch_reply(
+    r: &mut Reader,
+    statements: &[BatchStatement],
+    columns: &mut ColumnCache,
+) -> DbResult<BatchOutcome> {
+    let executed = r.get_u32().map_err(remote_err)? as usize;
+    // Each result set takes at least MIN_RESULT_SET_BYTES, and no more
+    // statements ran than were sent.
+    if executed > statements.len() || executed > r.remaining() / MIN_RESULT_SET_BYTES {
+        return Err(remote_err(DecodeError::new("batch result count")));
+    }
+    let mut results = Vec::with_capacity(executed);
+    for stmt in &statements[..executed] {
+        results.push(columns.decode(&stmt.sql, r).map_err(remote_err)?);
+    }
+    let failed = r.get_bool().map_err(remote_err)?;
+    let error = if failed {
+        Some(decode_db_error(r).unwrap_or_else(remote_err))
+    } else {
+        None
+    };
+    Ok(BatchOutcome { results, error })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sli_simnet::wire::frame;
     use sli_simnet::{Path, PathSpec};
 
     fn setup() -> (
@@ -1141,5 +1147,173 @@ mod tests {
         let remote = Remote::new(path, Arc::clone(&server));
         remote.call(frame(protocol::JDBC, 1, &w.finish())).unwrap();
         assert_eq!(server.session_count(), 0);
+    }
+
+    /// Opens a session with a raw `OP_OPEN` frame and returns its id.
+    fn open_session(server: &DbServer) -> u64 {
+        let mut w = Writer::new();
+        w.put_u8(OP_OPEN);
+        let (_, body) = unframe(server.handle(frame(protocol::JDBC, 0, &w.finish()))).unwrap();
+        let mut r = Reader::new(body);
+        assert_eq!(r.get_u8().unwrap(), STATUS_OK);
+        r.get_bytes().unwrap();
+        r.get_u64().unwrap()
+    }
+
+    fn put_statement(w: &mut Writer, sql: &str, params: &[Value]) {
+        w.put_str("NULLID.SYSSH200").put_str(sql);
+        w.put_u32(params.len() as u32);
+        for p in params {
+            p.encode(w);
+        }
+    }
+
+    /// Valid `OP_EXEC` and `OP_EXEC_BATCH` payloads for `session`, shaped
+    /// by `seed`. Reads only: a mutant that opens a transaction then takes
+    /// shared locks, which never block another session.
+    fn statement_payloads(session: u64, seed: u64) -> [Bytes; 2] {
+        let key = Value::from((seed % 7) as i64);
+        let mut single = Writer::new();
+        single.put_u8(OP_EXEC).put_u64(session);
+        put_statement(
+            &mut single,
+            "SELECT b FROM t WHERE a = ?",
+            std::slice::from_ref(&key),
+        );
+        if seed.is_multiple_of(2) {
+            single.put_bool(true).put_u32(1).put_u64(seed + 1);
+        }
+        let mut batch = Writer::new();
+        batch.put_u8(OP_EXEC_BATCH).put_u64(session).put_u32(3);
+        put_statement(&mut batch, "SELECT * FROM t WHERE a = ?", &[key]);
+        put_statement(&mut batch, "SELECT COUNT(*) FROM t", &[]);
+        put_statement(
+            &mut batch,
+            "SELECT a FROM t WHERE b IN (?, ?)",
+            &[Value::from(format!("v{seed}")), Value::from("x")],
+        );
+        [single.finish(), batch.finish()]
+    }
+
+    /// The regressions: parameter and statement counts of `u32::MAX` used
+    /// to size their vectors before reading a single value.
+    #[test]
+    fn hostile_statement_counts_get_error_replies() {
+        let (_clock, _path, _conn, server) = setup();
+        let session = open_session(&server);
+        let mut params = Writer::new();
+        params.put_u8(OP_EXEC).put_u64(session);
+        params.put_str("NULLID.SYSSH200").put_str("SELECT * FROM t");
+        params.put_u32(u32::MAX);
+        let mut batch = Writer::new();
+        batch
+            .put_u8(OP_EXEC_BATCH)
+            .put_u64(session)
+            .put_u32(u32::MAX);
+        for payload in [params.finish(), batch.finish()] {
+            let (_, body) = unframe(server.handle(frame(protocol::JDBC, 1, &payload))).unwrap();
+            assert_eq!(body[0], STATUS_ERR);
+        }
+    }
+
+    #[test]
+    fn mutated_statement_frames_get_replies_not_panics() {
+        let (_clock, _path, _conn, server) = setup();
+        let mut seeding = server.database().connect();
+        for a in 0..7 {
+            let sql = format!("INSERT INTO t (a, b) VALUES ({a}, 'v{a}')");
+            seeding.execute(&sql, &[]).unwrap();
+        }
+        let mut session = open_session(&server);
+        let mut errors = 0;
+        for seed in 0..5_000u64 {
+            for (i, payload) in statement_payloads(session, seed).iter().enumerate() {
+                let (mutant, _) = crate::wal::tests::mutate(payload, seed * 2 + i as u64);
+                let reply = server.handle(frame(protocol::JDBC, seed, &Bytes::from(mutant)));
+                let (_, body) = unframe(reply).expect("every reply is a well-formed frame");
+                match body[0] {
+                    STATUS_OK => {}
+                    STATUS_ERR => errors += 1,
+                    other => panic!("seed {seed}: reply status {other}"),
+                }
+            }
+            // A mutant may have closed the session (or a mutated id named
+            // another one); keep exercising the decoders, not the lookup.
+            if server.sessions.lock().get(&session).is_none() {
+                session = open_session(&server);
+            }
+        }
+        assert!(
+            errors > 3_000,
+            "only {errors} of 10000 mutants were rejected"
+        );
+    }
+
+    /// A valid `OP_EXEC_BATCH` reply past status and SQLCA, shaped by
+    /// `seed`.
+    fn batch_reply(seed: u64) -> Bytes {
+        let mut w = Writer::new();
+        let executed = seed % 3;
+        w.put_u32(executed as u32);
+        for r in 0..executed {
+            ResultSet::with_rows(
+                vec!["a".to_owned(), "b".to_owned()],
+                (0..(seed + r) % 3)
+                    .map(|k| vec![Value::from(k as i64), Value::from(format!("v{seed}"))])
+                    .collect(),
+            )
+            .encode(&mut w);
+        }
+        w.put_bool(seed.is_multiple_of(2));
+        if seed.is_multiple_of(2) {
+            encode_db_error(&mut w, &DbError::DuplicateKey(format!("t[{seed}]")));
+        }
+        w.finish()
+    }
+
+    /// The statements a [`batch_reply`] answers.
+    fn batch_statements() -> Vec<BatchStatement> {
+        (0..3)
+            .map(|i| BatchStatement::new(format!("SELECT a, b FROM t WHERE a > {i}"), Vec::new()))
+            .collect()
+    }
+
+    #[test]
+    fn hostile_batch_result_count_is_an_error_not_an_abort() {
+        let mut w = Writer::new();
+        w.put_u32(u32::MAX).put_bool(false);
+        let sent = batch_statements();
+        let decoded = decode_batch_reply(
+            &mut Reader::new(w.finish()),
+            &sent,
+            &mut ColumnCache::default(),
+        );
+        assert!(decoded.is_err());
+    }
+
+    #[test]
+    fn mutated_batch_replies_never_panic() {
+        let sent = batch_statements();
+        let mut columns = ColumnCache::default();
+        let mut errors = 0;
+        for seed in 0..10_000u64 {
+            let reply = batch_reply(seed);
+            let outcome =
+                decode_batch_reply(&mut Reader::new(reply.clone()), &sent, &mut columns).unwrap();
+            assert_eq!(outcome.results.len() as u64, seed % 3);
+            let (mutant, prefix) = crate::wal::tests::mutate(&reply, seed);
+            let decoded =
+                decode_batch_reply(&mut Reader::new(Bytes::from(mutant)), &sent, &mut columns);
+            // A reply cut inside its error still reports a (Remote) error.
+            assert!(
+                !prefix || decoded.as_ref().map_or(true, |o| o.error.is_some()),
+                "seed {seed}: a strict prefix decoded cleanly"
+            );
+            errors += usize::from(decoded.is_err());
+        }
+        assert!(
+            errors > 3_000,
+            "only {errors} of 10000 mutants were rejected"
+        );
     }
 }

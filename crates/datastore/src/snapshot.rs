@@ -83,7 +83,7 @@ impl Database {
                 v.encode(&mut w);
             }
         }
-        w.finish()
+        w.finish_exact()
     }
 
     /// Rebuilds a database from a [`Database::checkpoint`] frame.

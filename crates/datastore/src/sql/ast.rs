@@ -1,5 +1,7 @@
 //! Parsed statement representation.
 
+use std::sync::Arc;
+
 use crate::error::DbError;
 use crate::predicate::Predicate;
 use crate::schema::Column;
@@ -69,8 +71,8 @@ pub enum SelectList {
     CountStar,
     /// `SELECT SUM(col)` / `MIN` / `MAX` / `AVG` / `COUNT(col)`
     Aggregate(AggregateFn, String),
-    /// `SELECT a, b, c`
-    Columns(Vec<String>),
+    /// `SELECT a, b, c`; the names every result of the plan shares.
+    Columns(Arc<[String]>),
 }
 
 /// A parsed SQL statement.
@@ -96,8 +98,8 @@ pub enum Statement {
     },
     /// `INSERT INTO table (cols) VALUES (vals)`
     Insert {
-        /// Target table.
-        table: String,
+        /// Target table. Shared with every lock the statement takes.
+        table: Arc<str>,
         /// Column names in insertion order.
         columns: Vec<String>,
         /// Values/placeholders aligned with `columns`.
@@ -107,8 +109,8 @@ pub enum Statement {
     Select {
         /// Projection.
         list: SelectList,
-        /// Source table.
-        table: String,
+        /// Source table. Shared with every lock the statement takes.
+        table: Arc<str>,
         /// Row filter (`Predicate::True` when absent).
         predicate: Predicate,
         /// Optional ordering: column plus descending flag.
@@ -118,8 +120,8 @@ pub enum Statement {
     },
     /// `UPDATE table SET col = v, ... [WHERE p]`
     Update {
-        /// Target table.
-        table: String,
+        /// Target table. Shared with every lock the statement takes.
+        table: Arc<str>,
         /// Column assignments.
         sets: Vec<(String, Scalar)>,
         /// Row filter.
@@ -127,8 +129,8 @@ pub enum Statement {
     },
     /// `DELETE FROM table [WHERE p]`
     Delete {
-        /// Target table.
-        table: String,
+        /// Target table. Shared with every lock the statement takes.
+        table: Arc<str>,
         /// Row filter.
         predicate: Predicate,
     },

@@ -177,7 +177,7 @@ impl Parser {
     fn insert(&mut self) -> DbResult<Statement> {
         self.expect_word("insert")?;
         self.expect_word("into")?;
-        let table = self.ident()?;
+        let table = self.ident()?.into();
         self.expect(Token::LParen)?;
         let mut columns = Vec::new();
         loop {
@@ -222,7 +222,7 @@ impl Parser {
             }
             Some(Token::Int(v)) => Ok(Scalar::Literal(Value::Int(v))),
             Some(Token::Float(v)) => Ok(Scalar::Literal(Value::Double(v))),
-            Some(Token::Str(v)) => Ok(Scalar::Literal(Value::Str(v))),
+            Some(Token::Str(v)) => Ok(Scalar::Literal(Value::from(v))),
             Some(Token::Word(w)) if w == "null" => Ok(Scalar::Literal(Value::Null)),
             Some(Token::Word(w)) if w == "true" => Ok(Scalar::Literal(Value::Bool(true))),
             Some(Token::Word(w)) if w == "false" => Ok(Scalar::Literal(Value::Bool(false))),
@@ -268,10 +268,10 @@ impl Parser {
                     break;
                 }
             }
-            SelectList::Columns(cols)
+            SelectList::Columns(cols.into())
         };
         self.expect_word("from")?;
-        let table = self.ident()?;
+        let table = self.ident()?.into();
         let predicate = self.where_clause()?;
         let order_by = if self.eat_word("order") {
             self.expect_word("by")?;
@@ -303,7 +303,7 @@ impl Parser {
 
     fn update(&mut self) -> DbResult<Statement> {
         self.expect_word("update")?;
-        let table = self.ident()?;
+        let table = self.ident()?.into();
         self.expect_word("set")?;
         let mut sets = Vec::new();
         loop {
@@ -327,7 +327,7 @@ impl Parser {
     fn delete(&mut self) -> DbResult<Statement> {
         self.expect_word("delete")?;
         self.expect_word("from")?;
-        let table = self.ident()?;
+        let table = self.ident()?.into();
         let predicate = self.where_clause()?;
         Ok(Statement::Delete { table, predicate })
     }
@@ -490,7 +490,7 @@ mod tests {
                 columns,
                 values,
             } => {
-                assert_eq!(table, "quote");
+                assert_eq!(&*table, "quote");
                 assert_eq!(columns, vec!["symbol", "price"]);
                 assert_eq!(
                     values,
@@ -534,7 +534,7 @@ mod tests {
             } => {
                 assert_eq!(
                     list,
-                    SelectList::Columns(vec!["symbol".into(), "price".into()])
+                    SelectList::Columns(vec!["symbol".into(), "price".into()].into())
                 );
                 assert_eq!(order_by, Some(("price".into(), true)));
                 assert_eq!(limit, Some(5));
@@ -580,7 +580,7 @@ mod tests {
         let st = parse("DELETE FROM holding WHERE id = ?").unwrap();
         match st {
             Statement::Delete { table, predicate } => {
-                assert_eq!(table, "holding");
+                assert_eq!(&*table, "holding");
                 assert_eq!(predicate.param_count(), 1);
             }
             other => panic!("wrong statement: {other:?}"),

@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use sli_simnet::wire::{DecodeError, Reader, Writer};
 
@@ -12,6 +13,9 @@ use sli_simnet::wire::{DecodeError, Reader, Writer};
 /// primary-key and index key type: values order first by type rank
 /// (`Null < Bool < Int < Double < Str`) and then by payload, with doubles
 /// compared via IEEE-754 total ordering.
+///
+/// String text is shared: cloning a `Value` — a row, a key, a lock
+/// resource, a commit entry — copies a pointer, never the text.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
@@ -22,8 +26,8 @@ pub enum Value {
     Int(i64),
     /// A 64-bit float (DOUBLE).
     Double(f64),
-    /// A variable-length string (VARCHAR).
-    Str(String),
+    /// A variable-length string (VARCHAR), shared between clones.
+    Str(Arc<str>),
 }
 
 impl Value {
@@ -130,7 +134,7 @@ impl Value {
             1 => Ok(Value::Bool(r.get_bool()?)),
             2 => Ok(Value::Int(r.get_i64()?)),
             3 => Ok(Value::Double(r.get_f64()?)),
-            4 => Ok(Value::Str(r.get_str()?)),
+            4 => Ok(Value::Str(Arc::from(r.get_str_ref()?))),
             _ => Err(DecodeError::new("value tag")),
         }
     }
@@ -214,13 +218,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Str(v.to_owned())
+        Value::Str(Arc::from(v))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Str(v)
+        Value::Str(Arc::from(v))
     }
 }
 

@@ -172,7 +172,7 @@ fn encode_op(lsn: u64, txn: u64, op: &WalOp) -> Bytes {
             put_row(&mut w, old);
         }
     }
-    w.finish()
+    w.finish_exact()
 }
 
 fn encode_commit(lsn: u64, txn: u64, commit_seq: u64, stamp: Option<(u32, u64)>) -> Bytes {
@@ -189,7 +189,7 @@ fn encode_commit(lsn: u64, txn: u64, commit_seq: u64, stamp: Option<(u32, u64)>)
             w.put_bool(false);
         }
     }
-    w.finish()
+    w.finish_exact()
 }
 
 fn decode_record(frame: &Bytes) -> Result<WalRecord, DecodeError> {
@@ -611,7 +611,7 @@ pub(crate) mod tests {
             1 => Value::Bool(r & 0x100 != 0),
             2 => Value::Int((r >> 8) as i64),
             3 => Value::Double((r >> 11) as f64 / 7.0),
-            _ => Value::Str(format!("s{}", r >> 40)),
+            _ => Value::from(format!("s{}", r >> 40)),
         }
     }
 

@@ -7,6 +7,15 @@
 //! the high-latency path — so requests and responses are rendered to real
 //! bytes.
 
+use std::fmt::Write;
+
+/// Bytes of a request head besides the method, URI, query and cookie.
+const REQUEST_HEAD_LEN: usize = 96;
+
+/// Bytes of a response head besides the cookie: status line, fixed
+/// headers and the content length.
+const RESPONSE_HEAD_LEN: usize = 128;
+
 /// An HTTP request as issued by the simulated browser / load generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
@@ -37,25 +46,28 @@ impl HttpRequest {
         self
     }
 
-    /// Renders the request head + parameters to wire bytes.
+    /// Renders the request head + parameters to wire bytes, in one buffer
+    /// sized up front.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = String::new();
-        let query: Vec<String> = self
-            .params
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        let uri = if query.is_empty() {
-            self.uri.clone()
-        } else {
-            format!("{}?{}", self.uri, query.join("&"))
-        };
-        out.push_str(&format!("{} {} HTTP/1.0\r\n", self.method, uri));
-        out.push_str("Host: trade.example.com\r\n");
-        out.push_str("User-Agent: sli-edge-loadgen/1.0\r\n");
-        out.push_str("Accept: text/html\r\n");
+        let query_len: usize = self.params.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+        let cookie_len = self.session_cookie.as_ref().map_or(0, |c| c.len() + 22);
+        let mut out = String::with_capacity(
+            REQUEST_HEAD_LEN + self.method.len() + self.uri.len() + query_len + cookie_len,
+        );
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{} {}", self.method, self.uri);
+        for (i, (k, v)) in self.params.iter().enumerate() {
+            let sep = if i == 0 { '?' } else { '&' };
+            let _ = write!(out, "{sep}{k}={v}");
+        }
+        out.push_str(
+            " HTTP/1.0\r\n\
+             Host: trade.example.com\r\n\
+             User-Agent: sli-edge-loadgen/1.0\r\n\
+             Accept: text/html\r\n",
+        );
         if let Some(c) = &self.session_cookie {
-            out.push_str(&format!("Cookie: JSESSIONID={c}\r\n"));
+            let _ = write!(out, "Cookie: JSESSIONID={c}\r\n");
         }
         out.push_str("\r\n");
         out.into_bytes()
@@ -163,9 +175,11 @@ impl HttpResponse {
         self
     }
 
-    /// Renders the status line, headers and body to wire bytes.
+    /// Renders the status line, headers and body to wire bytes, in one
+    /// buffer sized up front.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = String::new();
+        let cookie_len = self.set_cookie.as_ref().map_or(0, |c| c.len() + 35);
+        let mut out = String::with_capacity(RESPONSE_HEAD_LEN + cookie_len + self.body.len());
         let reason = match self.status {
             200 => "OK",
             302 => "Found",
@@ -175,12 +189,18 @@ impl HttpResponse {
             503 => "Service Unavailable",
             _ => "Unknown",
         };
-        out.push_str(&format!("HTTP/1.0 {} {}\r\n", self.status, reason));
-        out.push_str("Server: sli-edge/1.0\r\n");
-        out.push_str("Content-Type: text/html; charset=iso-8859-1\r\n");
-        out.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "HTTP/1.0 {} {reason}\r\n\
+             Server: sli-edge/1.0\r\n\
+             Content-Type: text/html; charset=iso-8859-1\r\n\
+             Content-Length: {}\r\n",
+            self.status,
+            self.body.len()
+        );
         if let Some(c) = &self.set_cookie {
-            out.push_str(&format!("Set-Cookie: JSESSIONID={c}; Path=/\r\n"));
+            let _ = write!(out, "Set-Cookie: JSESSIONID={c}; Path=/\r\n");
         }
         out.push_str("\r\n");
         out.push_str(&self.body);

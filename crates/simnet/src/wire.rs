@@ -26,7 +26,7 @@
 use std::error::Error;
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Error produced when decoding a malformed or truncated frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +85,22 @@ pub struct FrameHeader {
     pub trace_id: u64,
 }
 
+/// Bytes of framing in front of every payload.
+pub const FRAME_HEADER_LEN: usize = 32;
+
+/// The header [`frame_traced`] puts in front of `payload`.
+fn header(proto: u16, correlation: u64, trace_id: u64, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut h = [0u8; FRAME_HEADER_LEN];
+    h[0..4].copy_from_slice(&FRAME_MAGIC.to_be_bytes());
+    h[4..6].copy_from_slice(&FRAME_VERSION.to_be_bytes());
+    h[6..8].copy_from_slice(&proto.to_be_bytes());
+    h[8..16].copy_from_slice(&correlation.to_be_bytes());
+    h[16..24].copy_from_slice(&trace_id.to_be_bytes());
+    h[24..28].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    h[28..32].copy_from_slice(&checksum(payload).to_be_bytes());
+    h
+}
+
 /// Wraps `payload` in a 32-byte protocol header with no trace context.
 pub fn frame(proto: u16, correlation: u64, payload: &Bytes) -> Bytes {
     frame_traced(proto, correlation, 0, payload)
@@ -93,22 +109,19 @@ pub fn frame(proto: u16, correlation: u64, payload: &Bytes) -> Bytes {
 /// Wraps `payload` in a 32-byte protocol header carrying `trace_id` in the
 /// header's token slot, so the receiver can attach its spans to the
 /// sender's causal trace.
+///
+/// Header and payload go into one buffer sized up front; the payload is
+/// copied once. A sender that builds its own payload avoids even that copy
+/// by writing it behind a reserved header ([`Writer::framed`]).
 pub fn frame_traced(proto: u16, correlation: u64, trace_id: u64, payload: &Bytes) -> Bytes {
-    let mut w = Writer::new();
-    w.put_u32(FRAME_MAGIC)
-        .put_u16(FRAME_VERSION)
-        .put_u16(proto)
-        .put_u64(correlation)
-        .put_u64(trace_id)
-        .put_u32(payload.len() as u32)
-        .put_u32(checksum(payload));
-    let mut buf = BytesMut::with_capacity(32 + payload.len());
-    buf.extend_from_slice(&w.finish());
-    buf.extend_from_slice(payload);
+    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
+    buf.put_slice(&header(proto, correlation, trace_id, payload));
+    buf.put_slice(payload);
     buf.freeze()
 }
 
-/// Validates and strips a [`frame`]d message.
+/// Validates and strips a [`frame`]d message. The payload is a view into
+/// `message`, not a copy.
 ///
 /// # Errors
 /// Returns [`DecodeError`] on bad magic/version, truncation, or checksum
@@ -140,16 +153,48 @@ pub fn unframe(message: Bytes) -> Result<(FrameHeader, Bytes), DecodeError> {
     ))
 }
 
+/// The frame checksum: the polynomial hash `acc = acc * 31 + byte` over
+/// the payload, in wrapping `u32` arithmetic.
+///
+/// Four bytes are folded per step, `acc * 31^4 + b0 * 31^3 + b1 * 31^2 +
+/// b2 * 31 + b3`, which is the same value as four serial steps; the tail
+/// is folded one byte at a time.
 fn checksum(payload: &[u8]) -> u32 {
-    payload
+    const P1: u32 = 31;
+    const P2: u32 = P1 * P1;
+    const P3: u32 = P2 * P1;
+    const P4: u32 = P3 * P1;
+    let mut words = payload.chunks_exact(4);
+    let mut acc = 0u32;
+    for w in &mut words {
+        acc = acc
+            .wrapping_mul(P4)
+            .wrapping_add((w[0] as u32).wrapping_mul(P3))
+            .wrapping_add((w[1] as u32).wrapping_mul(P2))
+            .wrapping_add((w[2] as u32).wrapping_mul(P1))
+            .wrapping_add(w[3] as u32);
+    }
+    words
+        .remainder()
         .iter()
-        .fold(0u32, |acc, b| acc.wrapping_mul(31).wrapping_add(*b as u32))
+        .fold(acc, |acc, &b| acc.wrapping_mul(P1).wrapping_add(b as u32))
+}
+
+/// Interprets a wire string's bytes as UTF-8, in place.
+///
+/// # Errors
+/// Returns [`DecodeError`] on invalid UTF-8.
+pub fn utf8(raw: &[u8]) -> Result<&str, DecodeError> {
+    std::str::from_utf8(raw).map_err(|_| DecodeError::new("utf-8"))
 }
 
 /// Incrementally builds an encoded frame.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: BytesMut,
+    /// Whether the first [`FRAME_HEADER_LEN`] bytes are reserved for a
+    /// header ([`Writer::framed`]).
+    framed: bool,
 }
 
 impl Writer {
@@ -157,7 +202,17 @@ impl Writer {
     pub fn new() -> Writer {
         Writer {
             buf: BytesMut::with_capacity(128),
+            framed: false,
         }
+    }
+
+    /// Creates a writer whose payload lands behind a reserved frame header;
+    /// [`Writer::finish_frame`] fills the header in place, so framing the
+    /// payload copies nothing.
+    pub fn framed() -> Writer {
+        let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + 128);
+        buf.put_bytes(0, FRAME_HEADER_LEN);
+        Writer { buf, framed: true }
     }
 
     /// Appends a single byte.
@@ -207,6 +262,17 @@ impl Writer {
         self.put_bytes(v.as_bytes())
     }
 
+    /// Appends the concatenation of `parts` as one length-prefixed string,
+    /// without building it first.
+    pub fn put_str_parts(&mut self, parts: &[&str]) -> &mut Writer {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        self.buf.put_u32(len as u32);
+        for p in parts {
+            self.buf.put_slice(p.as_bytes());
+        }
+        self
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Writer {
         self.buf.put_u32(v.len() as u32);
@@ -214,23 +280,69 @@ impl Writer {
         self
     }
 
-    /// Appends an already-encoded frame as a length-prefixed nested value.
-    pub fn put_frame(&mut self, v: &Bytes) -> &mut Writer {
-        self.put_bytes(v)
+    /// Appends a nested frame, length-prefixed, that `encode` writes in
+    /// place: the prefix is patched once the frame is written, so nothing
+    /// is encoded separately and copied.
+    pub fn put_frame_with(&mut self, encode: impl FnOnce(&mut Writer)) -> &mut Writer {
+        let at = self.buf.len();
+        self.buf.put_u32(0);
+        encode(self);
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+        self
     }
 
-    /// Number of bytes written so far.
+    /// Number of payload bytes written so far (a reserved header is not
+    /// counted).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.header_len()
     }
 
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    fn header_len(&self) -> usize {
+        if self.framed {
+            FRAME_HEADER_LEN
+        } else {
+            0
+        }
     }
 
     /// Finalizes the frame.
+    ///
+    /// # Panics
+    /// On a [`Writer::framed`] writer, whose header only
+    /// [`Writer::finish_frame`] can fill.
     pub fn finish(self) -> Bytes {
+        assert!(!self.framed, "a framed writer ends with finish_frame");
+        self.buf.freeze()
+    }
+
+    /// Finalizes a frame that is kept rather than sent, such as a log
+    /// record or a checkpoint: the buffer is shrunk to the frame's length,
+    /// so what is kept carries no growth slack.
+    ///
+    /// # Panics
+    /// On a [`Writer::framed`] writer.
+    pub fn finish_exact(self) -> Bytes {
+        assert!(!self.framed, "a framed writer ends with finish_frame");
+        let mut buf = Vec::from(self.buf);
+        buf.shrink_to_fit();
+        Bytes::from(buf)
+    }
+
+    /// Fills the reserved header in place and returns the whole framed
+    /// message: the same bytes as [`frame_traced`] of the payload.
+    ///
+    /// # Panics
+    /// On a writer not made by [`Writer::framed`].
+    pub fn finish_frame(mut self, proto: u16, correlation: u64, trace_id: u64) -> Bytes {
+        assert!(self.framed, "only a framed writer has a header to fill");
+        let h = header(proto, correlation, trace_id, &self.buf[FRAME_HEADER_LEN..]);
+        self.buf[..FRAME_HEADER_LEN].copy_from_slice(&h);
         self.buf.freeze()
     }
 }
@@ -239,20 +351,30 @@ impl Writer {
 #[derive(Debug)]
 pub struct Reader {
     buf: Bytes,
+    pos: usize,
 }
 
 impl Reader {
     /// Wraps an encoded frame for reading.
     pub fn new(buf: Bytes) -> Reader {
-        Reader { buf }
+        Reader { buf, pos: 0 }
     }
 
     fn need(&self, n: usize, what: &'static str) -> Result<(), DecodeError> {
-        if self.buf.remaining() < n {
+        if self.remaining() < n {
             Err(DecodeError::new(what))
         } else {
             Ok(())
         }
+    }
+
+    /// Consumes the next `N` bytes.
+    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], DecodeError> {
+        self.need(N, what)?;
+        let mut raw = [0u8; N];
+        raw.copy_from_slice(&self.buf[self.pos..self.pos + N]);
+        self.pos += N;
+        Ok(raw)
     }
 
     /// Reads a single byte.
@@ -260,8 +382,7 @@ impl Reader {
     /// # Errors
     /// Returns [`DecodeError`] if the frame is exhausted.
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        self.need(1, "u8")?;
-        Ok(self.buf.get_u8())
+        Ok(self.take::<1>("u8")?[0])
     }
 
     /// Reads a big-endian `u16`.
@@ -269,8 +390,7 @@ impl Reader {
     /// # Errors
     /// Returns [`DecodeError`] if fewer than two bytes remain.
     pub fn get_u16(&mut self) -> Result<u16, DecodeError> {
-        self.need(2, "u16")?;
-        Ok(self.buf.get_u16())
+        self.take("u16").map(u16::from_be_bytes)
     }
 
     /// Reads a big-endian `u32`.
@@ -278,8 +398,7 @@ impl Reader {
     /// # Errors
     /// Returns [`DecodeError`] if fewer than four bytes remain.
     pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
-        self.need(4, "u32")?;
-        Ok(self.buf.get_u32())
+        self.take("u32").map(u32::from_be_bytes)
     }
 
     /// Reads a big-endian `u64`.
@@ -287,8 +406,7 @@ impl Reader {
     /// # Errors
     /// Returns [`DecodeError`] if fewer than eight bytes remain.
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
-        self.need(8, "u64")?;
-        Ok(self.buf.get_u64())
+        self.take("u64").map(u64::from_be_bytes)
     }
 
     /// Reads a big-endian `i64`.
@@ -296,8 +414,7 @@ impl Reader {
     /// # Errors
     /// Returns [`DecodeError`] if fewer than eight bytes remain.
     pub fn get_i64(&mut self) -> Result<i64, DecodeError> {
-        self.need(8, "i64")?;
-        Ok(self.buf.get_i64())
+        self.take("i64").map(i64::from_be_bytes)
     }
 
     /// Reads an IEEE-754 `f64`.
@@ -305,8 +422,8 @@ impl Reader {
     /// # Errors
     /// Returns [`DecodeError`] if fewer than eight bytes remain.
     pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
-        self.need(8, "f64")?;
-        Ok(self.buf.get_f64())
+        self.take("f64")
+            .map(|raw| f64::from_bits(u64::from_be_bytes(raw)))
     }
 
     /// Reads a boolean byte.
@@ -322,26 +439,45 @@ impl Reader {
         }
     }
 
-    /// Reads a length-prefixed byte string.
+    /// Consumes a length prefix and the `len` bytes it announces,
+    /// returning where they start.
+    fn prefixed(&mut self) -> Result<usize, DecodeError> {
+        let len = self.get_u32()? as usize;
+        self.need(len, "bytes payload")?;
+        let start = self.pos;
+        self.pos += len;
+        Ok(start)
+    }
+
+    /// Reads a length-prefixed byte string: a view into the frame, not a
+    /// copy.
     ///
     /// # Errors
     /// Returns [`DecodeError`] if the prefix or payload is truncated.
     pub fn get_bytes(&mut self) -> Result<Bytes, DecodeError> {
-        let len = self.get_u32()? as usize;
-        self.need(len, "bytes payload")?;
-        Ok(self.buf.split_to(len))
+        let start = self.prefixed()?;
+        Ok(self.buf.slice(start..self.pos))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a length-prefixed UTF-8 string into an owned `String`.
     ///
     /// # Errors
     /// Returns [`DecodeError`] on truncation or invalid UTF-8.
     pub fn get_str(&mut self) -> Result<String, DecodeError> {
-        let raw = self.get_bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::new("utf-8"))
+        self.get_str_ref().map(str::to_owned)
     }
 
-    /// Reads a nested frame written with [`Writer::put_frame`].
+    /// Reads a length-prefixed UTF-8 string in place, borrowing it from
+    /// the frame.
+    ///
+    /// # Errors
+    /// Returns [`DecodeError`] on truncation or invalid UTF-8.
+    pub fn get_str_ref(&mut self) -> Result<&str, DecodeError> {
+        let start = self.prefixed()?;
+        utf8(&self.buf[start..self.pos])
+    }
+
+    /// Reads a nested frame written with [`Writer::put_frame_with`].
     ///
     /// # Errors
     /// Returns [`DecodeError`] on truncation.
@@ -349,23 +485,25 @@ impl Reader {
         self.get_bytes()
     }
 
-    /// Reads exactly `len` raw bytes (no length prefix).
+    /// Reads exactly `len` raw bytes (no length prefix), as a view.
     ///
     /// # Errors
     /// Returns [`DecodeError`] on truncation.
     pub fn get_bytes_raw(&mut self, len: usize) -> Result<Bytes, DecodeError> {
         self.need(len, "raw bytes")?;
-        Ok(self.buf.split_to(len))
+        let start = self.pos;
+        self.pos += len;
+        Ok(self.buf.slice(start..self.pos))
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len() - self.pos
     }
 
     /// Whether the whole frame has been consumed.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.remaining() == 0
     }
 }
 
@@ -398,12 +536,12 @@ mod tests {
 
     #[test]
     fn round_trip_strings_and_frames() {
-        let mut inner = Writer::new();
-        inner.put_str("nested");
-        let inner = inner.finish();
-
         let mut w = Writer::new();
-        w.put_str("outer").put_frame(&inner).put_bytes(&[1, 2, 3]);
+        w.put_str("outer")
+            .put_frame_with(|w| {
+                w.put_str("nested");
+            })
+            .put_bytes(&[1, 2, 3]);
         let mut r = Reader::new(w.finish());
         assert_eq!(r.get_str().unwrap(), "outer");
         let mut nested = Reader::new(r.get_frame().unwrap());
@@ -489,6 +627,108 @@ mod tests {
         assert!(unframe(Bytes::from(bad)).is_err());
         // truncated
         assert!(unframe(framed.slice(0..10)).is_err());
+    }
+
+    /// The byte-serial definition the four-byte stride must reproduce.
+    fn reference_checksum(payload: &[u8]) -> u32 {
+        payload
+            .iter()
+            .fold(0u32, |acc, b| acc.wrapping_mul(31).wrapping_add(*b as u32))
+    }
+
+    #[test]
+    fn strided_checksum_equals_the_byte_serial_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        };
+        let lengths = (0..=67).chain([1024, 1027, 4093, 4096, 8191]);
+        for len in lengths {
+            for _ in 0..8 {
+                let payload: Vec<u8> = (0..len).map(|_| next()).collect();
+                assert_eq!(
+                    checksum(&payload),
+                    reference_checksum(&payload),
+                    "length {len}"
+                );
+            }
+        }
+        let saturated = vec![0xFF; 4099];
+        assert_eq!(checksum(&saturated), reference_checksum(&saturated));
+    }
+
+    #[test]
+    fn framed_writer_matches_frame_traced() {
+        for len in [0usize, 1, 5, 300] {
+            let body: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let mut plain = Writer::new();
+            plain.put_bytes(&body).put_u64(9);
+            let mut framed = Writer::framed();
+            assert!(framed.is_empty());
+            framed.put_bytes(&body).put_u64(9);
+            assert_eq!(framed.len(), plain.len());
+            let expected = frame_traced(protocol::BACKEND, 3, 0xFEED, &plain.finish());
+            assert_eq!(framed.finish_frame(protocol::BACKEND, 3, 0xFEED), expected);
+        }
+    }
+
+    #[test]
+    fn kept_frames_match_sent_frames() {
+        let fill = |w: &mut Writer| {
+            for i in 0..50u64 {
+                w.put_u64(i).put_str("record");
+            }
+        };
+        let mut sent = Writer::new();
+        fill(&mut sent);
+        let mut kept = Writer::new();
+        fill(&mut kept);
+        assert_eq!(kept.finish_exact(), sent.finish());
+    }
+
+    #[test]
+    #[should_panic(expected = "a framed writer ends with finish_frame")]
+    fn framed_writer_cannot_finish_unframed() {
+        Writer::framed().finish();
+    }
+
+    #[test]
+    fn nested_frames_written_in_place_are_length_prefixed() {
+        let mut inner = Writer::new();
+        inner.put_str("nested").put_u32(7);
+        let mut copied = Writer::new();
+        copied.put_u8(1).put_bytes(&inner.finish()).put_u8(2);
+        let mut in_place = Writer::new();
+        in_place
+            .put_u8(1)
+            .put_frame_with(|w| {
+                w.put_str("nested").put_u32(7);
+            })
+            .put_u8(2);
+        assert_eq!(in_place.finish(), copied.finish());
+    }
+
+    #[test]
+    fn string_parts_encode_as_one_string() {
+        let mut parts = Writer::new();
+        parts.put_str_parts(&["com.example.", "Account", "Memento"]);
+        let mut whole = Writer::new();
+        whole.put_str("com.example.AccountMemento");
+        assert_eq!(parts.finish(), whole.finish());
+    }
+
+    #[test]
+    fn borrowed_strings_read_in_place() {
+        let mut w = Writer::new();
+        w.put_str("SELECT 1").put_str("").put_bytes(&[0xC3]);
+        let mut r = Reader::new(w.finish());
+        assert_eq!(r.get_str_ref().unwrap(), "SELECT 1");
+        assert_eq!(r.get_str_ref().unwrap(), "");
+        assert!(r.get_str_ref().is_err(), "a truncated UTF-8 sequence");
+        assert!(r.is_empty());
     }
 
     #[test]

@@ -6,14 +6,49 @@
 //! (Figure 8). The boilerplate below (masthead, navigation, styles, footer)
 //! mirrors the weight of Trade2's real JSP output.
 
+use std::fmt::Write;
+use std::sync::OnceLock;
+
 use crate::action::TradeResult;
 
-/// Shared page chrome: masthead, inline styles and navigation bar.
-fn chrome_head(title: &str) -> String {
+/// Every page's head up to its title.
+const BEFORE_TITLE: &str = "<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.01 Transitional//EN\">\n\
+                            <html>\n<head>\n<title>Trade: ";
+
+/// The constant parts of every page after the title, built once: the rest
+/// of the head (styles, ticker, masthead, navigation) and the foot
+/// (sidebar, market summary, footer).
+struct Chrome {
+    after_title: String,
+    foot: String,
+}
+
+fn chrome() -> &'static Chrome {
+    static CHROME: OnceLock<Chrome> = OnceLock::new();
+    CHROME.get_or_init(|| Chrome {
+        after_title: head_after_title(),
+        foot: chrome_foot(),
+    })
+}
+
+/// Starts a page titled `title` in a buffer sized for the chrome plus
+/// `body_hint` bytes of content.
+fn page_start(title: &str, body_hint: usize) -> String {
+    let c = chrome();
+    let mut s = String::with_capacity(
+        BEFORE_TITLE.len() + title.len() + c.after_title.len() + body_hint + c.foot.len(),
+    );
+    s.push_str(BEFORE_TITLE);
+    s.push_str(title);
+    s.push_str(&c.after_title);
+    s
+}
+
+/// Shared page chrome after the title: inline styles, ticker, masthead
+/// and navigation bar.
+fn head_after_title() -> String {
     let mut s = String::with_capacity(4096);
-    s.push_str("<!DOCTYPE HTML PUBLIC \"-//W3C//DTD HTML 4.01 Transitional//EN\">\n");
-    s.push_str("<html>\n<head>\n");
-    s.push_str(&format!("<title>Trade: {title}</title>\n"));
+    s.push_str("</title>\n");
     s.push_str("<meta http-equiv=\"Content-Type\" content=\"text/html; charset=iso-8859-1\">\n");
     s.push_str("<style type=\"text/css\">\n");
     s.push_str(
@@ -64,9 +99,7 @@ fn chrome_head(title: &str) -> String {
         ("Sell", "sell"),
         ("Logoff", "logout"),
     ] {
-        s.push_str(&format!(
-            "<a href=\"/trade/app?action={action}\">{label}</a>\n"
-        ));
+        let _ = writeln!(s, "<a href=\"/trade/app?action={action}\">{label}</a>");
     }
     s.push_str("</div>\n");
     s
@@ -111,9 +144,10 @@ fn market_summary_fragment() -> String {
             "36.55 (-0.9%)",
         ),
     ] {
-        s.push_str(&format!(
-            "<tr><td>{g}</td><td align=\"right\">{gp}</td><td>{l}</td><td align=\"right\">{lp}</td></tr>\n"
-        ));
+        let _ = writeln!(
+            s,
+            "<tr><td>{g}</td><td align=\"right\">{gp}</td><td>{l}</td><td align=\"right\">{lp}</td></tr>"
+        );
     }
     s.push_str(
         "<tr><td colspan=\"4\">TSIA 100.32 (+0.4%) &nbsp; exchange volume 40,100,000 shares \
@@ -141,9 +175,10 @@ fn sidebar_fragment() -> String {
         ("Sell oldest holding", "sell"),
         ("Refresh home page", "home"),
     ] {
-        s.push_str(&format!(
-            "<li><a href=\"/trade/app?action={action}\">{label}</a></li>\n"
-        ));
+        let _ = writeln!(
+            s,
+            "<li><a href=\"/trade/app?action={action}\">{label}</a></li>"
+        );
     }
     s.push_str(
         "</ul>\n<div class=\"disclaimer\">Market data are simulated and delayed by the \
@@ -172,45 +207,71 @@ fn chrome_foot() -> String {
     s
 }
 
-/// Renders one action's result to a full HTML page.
+/// Renders one action's result to a full HTML page, in one buffer sized
+/// up front.
 pub fn render(result: &TradeResult) -> String {
-    let mut s = chrome_head(&result.title);
-    s.push_str("<div class=\"content\">\n");
-    s.push_str(&format!("<h1>{}</h1>\n", result.title));
-    s.push_str("<table>\n");
+    // Per-cell markup is at most 40 bytes beyond the cell text.
+    let hint = 64
+        + 2 * result.title.len()
+        + result
+            .fields
+            .iter()
+            .map(|(n, v)| 56 + n.len() + v.len())
+            .sum::<usize>()
+        + result
+            .table_header
+            .iter()
+            .map(|h| 9 + h.len())
+            .sum::<usize>()
+        + result
+            .table_rows
+            .iter()
+            .flatten()
+            .map(|c| 9 + c.len())
+            .sum::<usize>()
+        + 16 * result.table_rows.len();
+    let mut s = page_start(&result.title, hint);
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(
+        s,
+        "<div class=\"content\">\n<h1>{}</h1>\n<table>",
+        result.title
+    );
     for (name, value) in &result.fields {
-        s.push_str(&format!(
-            "<tr><td class=\"field-name\">{name}</td><td>{value}</td></tr>\n"
-        ));
+        let _ = writeln!(
+            s,
+            "<tr><td class=\"field-name\">{name}</td><td>{value}</td></tr>"
+        );
     }
     s.push_str("</table>\n");
     if !result.table_header.is_empty() {
         s.push_str("<table class=\"data\">\n<tr>");
         for h in &result.table_header {
-            s.push_str(&format!("<th>{h}</th>"));
+            let _ = write!(s, "<th>{h}</th>");
         }
         s.push_str("</tr>\n");
         for row in &result.table_rows {
             s.push_str("<tr>");
             for cell in row {
-                s.push_str(&format!("<td>{cell}</td>"));
+                let _ = write!(s, "<td>{cell}</td>");
             }
             s.push_str("</tr>\n");
         }
         s.push_str("</table>\n");
     }
     s.push_str("</div>\n");
-    s.push_str(&chrome_foot());
+    s.push_str(&chrome().foot);
     s
 }
 
 /// Renders an error page (HTTP 4xx/5xx body).
 pub fn render_error(title: &str, message: &str) -> String {
-    let mut s = chrome_head(title);
-    s.push_str(&format!(
-        "<div class=\"content\"><h1>{title}</h1><p>{message}</p></div>\n"
-    ));
-    s.push_str(&chrome_foot());
+    let mut s = page_start(title, 64 + title.len() + message.len());
+    let _ = writeln!(
+        s,
+        "<div class=\"content\"><h1>{title}</h1><p>{message}</p></div>"
+    );
+    s.push_str(&chrome().foot);
     s
 }
 

@@ -2,10 +2,12 @@
 //! workspace builds with no registry access.
 //!
 //! [`Bytes`] is a cheaply-cloneable view into a shared, immutable buffer
-//! (`Arc<[u8]>` + a window); [`BytesMut`] is a growable buffer that freezes
-//! into one. The [`Buf`]/[`BufMut`] traits carry the big-endian cursor
-//! methods the wire codec uses. Only the surface this workspace exercises
-//! is implemented.
+//! (an `Arc<Vec<u8>>` plus a window); [`BytesMut`] is a growable buffer
+//! that freezes into one by handing its `Vec` over, so freezing copies no
+//! bytes. Slicing and splitting share the buffer too; only
+//! [`Bytes::copy_from_slice`] and the `'static` constructors copy. The
+//! [`BufMut`] trait carries the big-endian appenders the wire codec uses.
+//! Only the surface this workspace exercises is implemented.
 
 #![forbid(unsafe_code)]
 
@@ -18,7 +20,7 @@ use std::sync::Arc;
 /// A cheaply-cloneable, contiguous, immutable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -36,12 +38,7 @@ impl Bytes {
 
     /// Copies `bytes` into a new buffer.
     pub fn copy_from_slice(bytes: &[u8]) -> Bytes {
-        let data: Arc<[u8]> = Arc::from(bytes);
-        Bytes {
-            start: 0,
-            end: data.len(),
-            data,
-        }
+        Bytes::from(bytes.to_vec())
     }
 
     /// Number of bytes in the view.
@@ -156,12 +153,12 @@ impl Hash for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `v` without copying its bytes.
     fn from(v: Vec<u8>) -> Bytes {
-        let data: Arc<[u8]> = Arc::from(v);
         Bytes {
             start: 0,
-            end: data.len(),
-            data,
+            end: v.len(),
+            data: Arc::new(v),
         }
     }
 }
@@ -218,9 +215,17 @@ impl BytesMut {
         self.buf.extend_from_slice(extend);
     }
 
-    /// Converts the buffer into an immutable [`Bytes`].
+    /// Converts the buffer into an immutable [`Bytes`], handing its
+    /// storage over without copying it.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
+    }
+}
+
+impl From<BytesMut> for Vec<u8> {
+    /// Takes the buffer's storage back without copying it.
+    fn from(b: BytesMut) -> Vec<u8> {
+        b.buf
     }
 }
 
@@ -240,75 +245,6 @@ impl DerefMut for BytesMut {
 impl fmt::Debug for BytesMut {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&Bytes::copy_from_slice(&self.buf), f)
-    }
-}
-
-/// Read cursor over a contiguous byte buffer (big-endian accessors).
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-    /// The unconsumed bytes.
-    fn chunk(&self) -> &[u8];
-    /// Consumes `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    /// Reads a big-endian `u16`.
-    fn get_u16(&mut self) -> u16 {
-        let mut raw = [0u8; 2];
-        raw.copy_from_slice(&self.chunk()[..2]);
-        self.advance(2);
-        u16::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        u64::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian `i64`.
-    fn get_i64(&mut self) -> i64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        i64::from_be_bytes(raw)
-    }
-
-    /// Reads a big-endian IEEE-754 `f64`.
-    fn get_f64(&mut self) -> f64 {
-        f64::from_bits(self.get_u64())
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance out of bounds");
-        self.start += cnt;
     }
 }
 
@@ -348,20 +284,26 @@ pub trait BufMut {
     }
 
     /// Appends `cnt` copies of `val`.
-    fn put_bytes(&mut self, val: u8, cnt: usize) {
-        self.put_slice(&vec![val; cnt]);
-    }
+    fn put_bytes(&mut self, val: u8, cnt: usize);
 }
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.buf.resize(self.buf.len() + cnt, val);
+    }
 }
 
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.resize(self.len() + cnt, val);
     }
 }
 
@@ -370,7 +312,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_round_trip() {
+    fn appenders_write_big_endian() {
         let mut w = BytesMut::with_capacity(32);
         w.put_u8(7);
         w.put_u16(600);
@@ -378,14 +320,56 @@ mod tests {
         w.put_u64(1 << 40);
         w.put_i64(-5);
         w.put_f64(2.5);
-        let mut b = w.freeze();
-        assert_eq!(b.get_u8(), 7);
-        assert_eq!(b.get_u16(), 600);
-        assert_eq!(b.get_u32(), 70_000);
-        assert_eq!(b.get_u64(), 1 << 40);
-        assert_eq!(b.get_i64(), -5);
-        assert_eq!(b.get_f64(), 2.5);
-        assert_eq!(b.remaining(), 0);
+        w.put_bytes(0xAB, 3);
+        let mut expected = vec![7, 0x02, 0x58, 0x00, 0x01, 0x11, 0x70];
+        expected.extend_from_slice(&(1u64 << 40).to_be_bytes());
+        expected.extend_from_slice(&(-5i64).to_be_bytes());
+        expected.extend_from_slice(&2.5f64.to_bits().to_be_bytes());
+        expected.extend_from_slice(&[0xAB; 3]);
+        assert_eq!(&w.freeze()[..], &expected[..]);
+    }
+
+    #[test]
+    fn freeze_hands_the_buffer_over_without_copying() {
+        let mut w = BytesMut::with_capacity(64);
+        w.put_slice(b"frame header and payload");
+        let before = w.as_ptr();
+        let frozen = w.freeze();
+        assert_eq!(frozen.as_ptr(), before, "freeze must not copy");
+        assert_eq!(&frozen[..], b"frame header and payload");
+        let from_vec = Bytes::from(b"owned".to_vec());
+        assert_eq!(&from_vec[..], b"owned");
+    }
+
+    #[test]
+    fn views_of_views_stay_in_their_window() {
+        let b = Bytes::from((0u8..10).collect::<Vec<u8>>());
+        let mid = b.slice(2..8);
+        assert_eq!(&mid[..], &[2, 3, 4, 5, 6, 7]);
+        assert_eq!(&mid.slice(1..=2)[..], &[3, 4]);
+        assert_eq!(&mid.slice(..)[..], &mid[..]);
+        assert!(mid.slice(6..).is_empty());
+        assert_eq!(
+            mid.slice(1..3).as_ptr(),
+            b[3..].as_ptr(),
+            "slices share storage"
+        );
+        let mut rest = mid.clone();
+        let head = rest.split_to(4);
+        assert_eq!(&head[..], &[2, 3, 4, 5]);
+        assert_eq!(&rest[..], &[6, 7]);
+        assert!(rest.split_to(0).is_empty());
+        assert_eq!(rest.split_to(2).to_vec(), vec![6, 7]);
+        assert!(rest.is_empty());
+        assert_eq!(mid.len(), 6, "splitting a clone leaves the original");
+        assert_eq!(b.len(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn slice_past_view_end_panics() {
+        let b = Bytes::from(vec![0u8; 8]).slice(2..4);
+        b.slice(0..3);
     }
 
     #[test]
